@@ -42,7 +42,7 @@ class DesktopShell {
 
   /// Execute one command line. Errors are reported in the transcript
   /// AND returned, so scripts can choose to stop or continue.
-  support::Status execute_line(const std::string& line, DesktopResult& result);
+  support::Status execute_line(std::string_view line, DesktopResult& result);
 
   /// Execute a whole script; stops at the first failing command unless
   /// `keep_going` is set.

@@ -17,11 +17,12 @@ Status usage(const std::string& what) {
 }
 }  // namespace
 
-Status DesktopShell::execute_line(const std::string& line, DesktopResult& result) {
+Status DesktopShell::execute_line(std::string_view line, DesktopResult& result) {
   std::string_view trimmed = support::trim(line);
   if (trimmed.empty() || trimmed[0] == '#') return {};
-  auto words = support::split_ws(trimmed);
-  auto st = dispatch(words, result);
+  std::vector<std::string_view> fields;
+  support::split_ws(trimmed, fields);
+  auto st = dispatch(std::vector<std::string>(fields.begin(), fields.end()), result);
   ++result.commands_executed;
   if (!st.ok()) {
     result.transcript.push_back("error: " + st.error().to_text());
@@ -83,7 +84,8 @@ Status DesktopShell::dispatch(const std::vector<std::string>& words, DesktopResu
     if (words.size() != 3 && words.size() != 4) {
       return usage("define-flow <name> <a1,a2,...> [a>b,c>d]");
     }
-    auto activities = support::split(words[2], ',');
+    auto names = support::split(words[2], ',');
+    std::vector<std::string> activities(names.begin(), names.end());
     std::vector<std::pair<std::string, std::string>> order;
     if (words.size() == 4) {
       for (const auto& pair : support::split(words[3], ',')) {
@@ -341,8 +343,9 @@ Status DesktopShell::dispatch(const std::vector<std::string>& words, DesktopResu
     const std::string prefix = words.size() == 2 ? words[1]
                                : words.size() == 3 ? words[2]
                                                    : std::string();
-    for (const auto& line : support::split(snapshot.to_table(prefix), '\n')) {
-      if (!line.empty()) say(line);
+    const std::string table = snapshot.to_table(prefix);
+    for (const auto& line : support::split(table, '\n')) {
+      if (!line.empty()) say(std::string(line));
     }
     return {};
   }
@@ -391,8 +394,9 @@ Status DesktopShell::dispatch(const std::vector<std::string>& words, DesktopResu
       }
       say(std::to_string(spans.size()) + " span(s), " + std::to_string(tracer.dropped()) +
           " dropped");
-      for (const auto& line : support::split(telemetry::Tracer::to_tree(spans), '\n')) {
-        if (!line.empty()) say(line);
+      const std::string tree = telemetry::Tracer::to_tree(spans);
+      for (const auto& line : support::split(tree, '\n')) {
+        if (!line.empty()) say(std::string(line));
       }
       return {};
     }

@@ -27,6 +27,7 @@ Result<DesignFile> DesignFile::parse(const std::string& text) {
   std::size_t pos = 0;
   bool saw_header = false;
   bool saw_cellview = false;
+  std::vector<std::string_view> f;
   while (pos < text.size()) {
     std::size_t eol = text.find('\n', pos);
     if (eol == std::string::npos) eol = text.size();
@@ -42,7 +43,7 @@ Result<DesignFile> DesignFile::parse(const std::string& text) {
       if (!saw_cellview) return fail("missing cellview record");
       return out;
     }
-    auto f = support::split_ws(line);
+    support::split_ws(line, f);
     if (f.empty()) continue;
     if (f[0] == "cellview" && f.size() == 4) {
       out.cell = f[1];
@@ -50,7 +51,7 @@ Result<DesignFile> DesignFile::parse(const std::string& text) {
       out.viewtype = f[3];
       saw_cellview = true;
     } else if (f[0] == "uses" && f.size() == 3) {
-      out.uses.push_back({f[1], f[2]});
+      out.uses.push_back({std::string(f[1]), std::string(f[2])});
     } else {
       return fail("bad record '" + std::string(line) + "'");
     }

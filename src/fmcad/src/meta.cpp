@@ -75,46 +75,48 @@ Result<LibraryMeta> LibraryMeta::parse(const std::string& text) {
   }
   LibraryMeta meta;
   bool saw_end = false;
+  std::vector<std::string_view> f;
   for (std::size_t n = 1; n < lines.size(); ++n) {
     std::string_view line = support::trim(lines[n]);
     if (line.empty()) continue;
     if (saw_end) return Library_meta_parse_fail("content after end");
-    auto f = support::split_ws(line);
-    const std::string& kind = f[0];
+    support::split_ws(line, f);
+    auto field = [&f](std::size_t i) { return std::string(f[i]); };
+    const std::string_view kind = f[0];
     if (kind == "end") {
       saw_end = true;
     } else if (kind == "library" && f.size() == 2) {
       meta.library = f[1];
     } else if (kind == "generation" && f.size() == 2) {
-      meta.generation = std::stoull(f[1]);
+      meta.generation = std::stoull(field(1));
     } else if (kind == "view" && f.size() == 3) {
-      meta.views.push_back({f[1], f[2]});
+      meta.views.push_back({field(1), field(2)});
     } else if (kind == "cell" && f.size() == 2) {
-      meta.cells.push_back(f[1]);
+      meta.cells.push_back(field(1));
     } else if (kind == "cellview" && f.size() == 3) {
-      CellViewKey key{f[1], f[2]};
+      CellViewKey key{field(1), field(2)};
       meta.cellviews[key].key = key;
     } else if (kind == "version" && f.size() == 7) {
-      CellViewKey key{f[1], f[2]};
+      CellViewKey key{field(1), field(2)};
       auto* record = meta.find_cellview(key);
       if (record == nullptr) return Library_meta_parse_fail("version before cellview");
       VersionInfo ver;
-      ver.number = std::stoi(f[3]);
+      ver.number = std::stoi(field(3));
       ver.file = f[4];
-      ver.mtime = std::stoull(f[5]);
+      ver.mtime = std::stoull(field(5));
       ver.author = f[6];
       record->versions.push_back(ver);
     } else if (kind == "checkout" && f.size() == 6) {
-      CellViewKey key{f[1], f[2]};
+      CellViewKey key{field(1), field(2)};
       auto* record = meta.find_cellview(key);
       if (record == nullptr) return Library_meta_parse_fail("checkout before cellview");
-      record->checkout = CheckOutStatus{f[3], std::stoi(f[4]), f[5]};
+      record->checkout = CheckOutStatus{field(3), std::stoi(field(4)), field(5)};
     } else if (kind == "config" && f.size() == 2) {
-      meta.configs[f[1]].name = f[1];
+      meta.configs[field(1)].name = f[1];
     } else if (kind == "member" && f.size() == 5) {
-      auto it = meta.configs.find(f[1]);
+      auto it = meta.configs.find(field(1));
       if (it == meta.configs.end()) return Library_meta_parse_fail("member before config");
-      it->second.members[CellViewKey{f[2], f[3]}] = std::stoi(f[4]);
+      it->second.members[CellViewKey{field(2), field(3)}] = std::stoi(field(4));
     } else {
       return Library_meta_parse_fail("bad record '" + std::string(line) + "'");
     }

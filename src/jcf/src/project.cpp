@@ -19,6 +19,29 @@ Result<bool> name_taken(const oms::Store& store, const char* relation, oms::Obje
   }
   return false;
 }
+
+/// The first of `candidates` that `project` reaches through `relation`,
+/// in that relation's link order -- what a walk of targets() would find.
+/// Link order is only consulted when two candidates are linked, which
+/// takes same-named cells shared from different owners.
+std::optional<oms::ObjectId> first_linked(const oms::Store& store, const char* relation,
+                                          oms::ObjectId project,
+                                          const std::vector<oms::ObjectId>& candidates) {
+  std::vector<oms::ObjectId> hits;
+  for (auto id : candidates) {
+    if (store.linked(relation, project, id)) hits.push_back(id);
+  }
+  if (hits.size() < 2) {
+    return hits.empty() ? std::nullopt : std::optional<oms::ObjectId>(hits.front());
+  }
+  auto order = store.targets(relation, project);
+  if (order.ok()) {
+    for (auto id : *order) {
+      if (std::find(hits.begin(), hits.end(), id) != hits.end()) return id;
+    }
+  }
+  return hits.front();
+}
 }  // namespace
 
 Result<ProjectRef> JcfFramework::create_project(const std::string& name, TeamRef team) {
@@ -49,9 +72,8 @@ Result<CellRef> JcfFramework::create_cell(ProjectRef project, const std::string&
     return Result<CellRef>::failure(Errc::invalid_argument,
                                     "flow must be frozen before it can drive a cell");
   }
-  auto taken = name_taken(store_, rel::project_cell, project.id, name);
-  if (!taken.ok()) return Result<CellRef>::failure(taken.error().code, taken.error().message);
-  if (*taken) {
+  const auto named = store_.find(cls::Cell, "name", oms::AttrValue(name));
+  if (first_linked(store_, rel::project_cell, project.id, named)) {
     return Result<CellRef>::failure(Errc::already_exists,
                                     "cell '" + name + "' in this project");
   }
@@ -66,13 +88,11 @@ Result<CellRef> JcfFramework::create_cell(ProjectRef project, const std::string&
 }
 
 Result<CellRef> JcfFramework::find_cell(ProjectRef project, const std::string& name) const {
+  // Every cell of that name in the store, from the (Cell, name) attribute
+  // index (docs/oms-indexing.md); own cells shadow shared ones.
+  const auto named = store_.find(cls::Cell, "name", oms::AttrValue(name));
   for (const char* relation : {rel::project_cell, rel::project_shared}) {
-    auto ids = store_.targets(relation, project.id);
-    if (!ids.ok()) return Result<CellRef>::failure(ids.error().code, ids.error().message);
-    for (auto id : *ids) {
-      auto n = store_.get_text(id, "name");
-      if (n.ok() && *n == name) return CellRef(id);
-    }
+    if (auto id = first_linked(store_, relation, project.id, named)) return CellRef(*id);
   }
   return Result<CellRef>::failure(Errc::not_found, "cell '" + name + "'");
 }

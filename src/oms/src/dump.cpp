@@ -128,6 +128,7 @@ Status Dump::from_text(Store& store, const std::string& text) {
   }
   std::uint64_t max_id = 0;
   bool saw_end = false;
+  std::vector<std::string_view> fields;
   for (std::size_t n = 1; n < lines.size(); ++n) {
     std::string_view line = support::trim(lines[n]);
     if (line.empty()) continue;
@@ -136,13 +137,14 @@ Status Dump::from_text(Store& store, const std::string& text) {
       saw_end = true;
       continue;
     }
-    auto fields = support::split_ws(line);
-    const std::string& kind = fields[0];
+    support::split_ws(line, fields);
+    auto field = [&fields](std::size_t i) { return std::string(fields[i]); };
+    const std::string_view kind = fields[0];
     if (kind == "object") {
       if (fields.size() != 4) return support::fail(Errc::parse_error, "bad object line");
-      std::uint64_t raw = std::stoull(fields[1]);
+      std::uint64_t raw = std::stoull(field(1));
       if (store.schema_.find_class(fields[2]) == nullptr) {
-        return support::fail(Errc::not_found, "dump references unknown class " + fields[2]);
+        return support::fail(Errc::not_found, "dump references unknown class " + field(2));
       }
       ObjectId id(raw);
       if (store.objects_.contains(id)) {
@@ -150,7 +152,7 @@ Status Dump::from_text(Store& store, const std::string& text) {
       }
       Store::Object obj;
       obj.class_name = fields[2];
-      obj.created = std::stoull(fields[3]);
+      obj.created = std::stoull(field(3));
       auto oit = store.objects_.emplace(id, std::move(obj)).first;
       // the import bypasses create(), so it maintains the secondary
       // indexes itself through the same private helpers
@@ -158,7 +160,7 @@ Status Dump::from_text(Store& store, const std::string& text) {
       max_id = std::max(max_id, raw);
     } else if (kind == "attr") {
       if (fields.size() < 4) return support::fail(Errc::parse_error, "bad attr line");
-      ObjectId id(std::stoull(fields[1]));
+      ObjectId id(std::stoull(field(1)));
       auto oit = store.objects_.find(id);
       if (oit == store.objects_.end()) {
         return support::fail(Errc::parse_error, "attr before object");
@@ -166,7 +168,7 @@ Status Dump::from_text(Store& store, const std::string& text) {
       const AttributeDef* def = store.schema_.find_attribute(oit->second.class_name, fields[2]);
       if (def == nullptr) {
         return support::fail(Errc::not_found,
-                             "dump references unknown attribute " + fields[2]);
+                             "dump references unknown attribute " + field(2));
       }
       // The value is everything after the 4th field separator; rebuild it
       // from the raw line so escaped text with spaces survives.
@@ -192,21 +194,21 @@ Status Dump::from_text(Store& store, const std::string& text) {
         store.index_remove_attr(id, oit->second.class_name, fields[2], prev->second);
       }
       store.index_add_attr(id, oit->second.class_name, fields[2], stored);
-      attrs[fields[2]] = std::move(stored);
+      attrs[field(2)] = std::move(stored);
     } else if (kind == "link") {
       if (fields.size() != 4) return support::fail(Errc::parse_error, "bad link line");
       const RelationDef* rel = store.schema_.find_relation(fields[1]);
       if (rel == nullptr) {
-        return support::fail(Errc::not_found, "dump references unknown relation " + fields[1]);
+        return support::fail(Errc::not_found, "dump references unknown relation " + field(1));
       }
-      ObjectId from(std::stoull(fields[2]));
-      ObjectId to(std::stoull(fields[3]));
+      ObjectId from(std::stoull(field(2)));
+      ObjectId to(std::stoull(field(3)));
       if (!store.objects_.contains(from) || !store.objects_.contains(to)) {
         return support::fail(Errc::parse_error, "link references missing object");
       }
       if (auto st = store.link_nocheck(*rel, from, to); !st.ok()) return st;
     } else {
-      return support::fail(Errc::parse_error, "unknown record '" + kind + "'");
+      return support::fail(Errc::parse_error, "unknown record '" + std::string(kind) + "'");
     }
   }
   if (!saw_end) return support::fail(Errc::parse_error, "dump truncated (no 'end')");

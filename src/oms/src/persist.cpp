@@ -388,7 +388,7 @@ Status Store::load_snapshot_locked(vfs::FileSystem& fs, const vfs::Path& dir,
     return corrupt("manifest crc mismatch");
   }
 
-  auto lines = support::split(text->substr(0, end_pos), '\n');
+  auto lines = support::split(std::string_view(*text).substr(0, end_pos), '\n');
   if (lines.empty() || support::trim(lines[0]) != "omssnap 1") {
     return corrupt("not a snapshot manifest");
   }
@@ -399,11 +399,12 @@ Status Store::load_snapshot_locked(vfs::FileSystem& fs, const vfs::Path& dir,
   // back sharing one extent AND one memo: blobs are keyed by content
   // hash, so the cache below restores the sharing structurally.
   std::map<std::uint64_t, StoredText> blob_cache;
+  std::vector<std::string_view> fields;
   for (std::size_t n = 1; n < lines.size(); ++n) {
     std::string_view line = support::trim(lines[n]);
     if (line.empty()) continue;
-    auto fields = support::split_ws(line);
-    const std::string& kind = fields[0];
+    support::split_ws(line, fields);
+    const std::string_view kind = fields[0];
     if (kind == "seq") {
       if (fields.size() != 2 || !parse_u64(fields[1], manifest_seq) || manifest_seq != seq) {
         return corrupt("bad seq line");
@@ -424,7 +425,7 @@ Status Store::load_snapshot_locked(vfs::FileSystem& fs, const vfs::Path& dir,
         return corrupt("bad object line");
       }
       if (schema_.find_class(fields[2]) == nullptr) {
-        return corrupt("unknown class " + fields[2]);
+        return corrupt("unknown class " + std::string(fields[2]));
       }
       ObjectId id(raw);
       if (objects_.contains(id)) return corrupt("duplicate object id");
@@ -443,7 +444,7 @@ Status Store::load_snapshot_locked(vfs::FileSystem& fs, const vfs::Path& dir,
       auto oit = objects_.find(ObjectId(raw));
       if (oit == objects_.end()) return corrupt("attr before object");
       const AttributeDef* def = schema_.find_attribute(oit->second.class_name, fields[2]);
-      if (def == nullptr) return corrupt("unknown attribute " + fields[2]);
+      if (def == nullptr) return corrupt("unknown attribute " + std::string(fields[2]));
       StoredValue stored;
       if (fields[3] == "int" && def->type == AttrType::integer) {
         std::int64_t v = 0;
@@ -455,7 +456,7 @@ Status Store::load_snapshot_locked(vfs::FileSystem& fs, const vfs::Path& dir,
       } else if (fields[3] == "real" && def->type == AttrType::real) {
         try {
           std::size_t pos = 0;
-          double v = std::stod(fields[4], &pos);
+          double v = std::stod(std::string(fields[4]), &pos);
           if (pos != fields[4].size()) return corrupt("bad real value");
           stored = StoredValue(v);
         } catch (const std::exception&) {
@@ -468,7 +469,7 @@ Status Store::load_snapshot_locked(vfs::FileSystem& fs, const vfs::Path& dir,
         return corrupt("attr type mismatch");
       }
       index_add_attr(ObjectId(raw), oit->second.class_name, fields[2], stored);
-      oit->second.attrs[fields[2]] = std::move(stored);
+      oit->second.attrs[std::string(fields[2])] = std::move(stored);
     } else if (kind == "text") {
       if (fields.size() != 5) return corrupt("bad text line");
       std::uint64_t raw = 0, hash = 0, size = 0;
@@ -506,11 +507,11 @@ Status Store::load_snapshot_locked(vfs::FileSystem& fs, const vfs::Path& dir,
       }
       StoredValue stored = StoredValue(cached->second);
       index_add_attr(ObjectId(raw), oit->second.class_name, fields[2], stored);
-      oit->second.attrs[fields[2]] = std::move(stored);
+      oit->second.attrs[std::string(fields[2])] = std::move(stored);
     } else if (kind == "fwd" || kind == "bwd") {
       if (fields.size() < 3) return corrupt("bad adjacency line");
       auto rit = relations_.find(fields[1]);
-      if (rit == relations_.end()) return corrupt("unknown relation " + fields[1]);
+      if (rit == relations_.end()) return corrupt("unknown relation " + std::string(fields[1]));
       std::uint64_t key = 0;
       if (!parse_u64(fields[2], key)) return corrupt("bad adjacency line");
       std::vector<ObjectId> peers;
@@ -528,7 +529,7 @@ Status Store::load_snapshot_locked(vfs::FileSystem& fs, const vfs::Path& dir,
         rit->second.backward[ObjectId(key)] = std::move(peers);
       }
     } else {
-      return corrupt("unknown record '" + kind + "'");
+      return corrupt("unknown record '" + std::string(kind) + "'");
     }
   }
   // Rebuild the edge membership sets from the forward vectors.

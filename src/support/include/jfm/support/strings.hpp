@@ -8,11 +8,15 @@
 
 namespace jfm::support {
 
-/// Split on a single character; empty fields are preserved.
-std::vector<std::string> split(std::string_view text, char sep);
+/// Split on a single character; empty fields are preserved. The fields
+/// are views into `text`, which must outlive them.
+std::vector<std::string_view> split(std::string_view text, char sep);
 
-/// Split on any whitespace; empty fields are dropped.
-std::vector<std::string> split_ws(std::string_view text);
+/// Split on any whitespace into `fields` (cleared first); empty fields
+/// are dropped. The fields are views into `text`. Passing the same
+/// vector for every line of a document reuses its storage, so
+/// tokenizing allocates nothing per line.
+void split_ws(std::string_view text, std::vector<std::string_view>& fields);
 
 /// Join with a separator.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);

@@ -147,7 +147,7 @@ class Registry {
 struct SpanRecord {
   std::uint64_t id = 0;
   std::uint64_t parent = 0;  ///< 0 = root span
-  std::string subsystem;     ///< layer tag: oms / jcf / fmcad / vfs / coupling
+  std::string subsystem;     ///< layer tag: oms / jcf / fmcad / tools / vfs / coupling
   std::string name;          ///< operation, e.g. "checkout_hierarchy"
   std::uint64_t start_us = 0;     ///< wall clock, us since tracing was enabled
   std::uint64_t duration_us = 0;  ///< wall-clock duration

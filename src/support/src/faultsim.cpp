@@ -69,7 +69,7 @@ Result<FaultPlan> parse_plan(std::string_view text) {
       const std::string site = entry.substr(0, at);
       if (site.empty()) return Fail::failure(Errc::invalid_argument, "missing site: " + entry);
       SiteSpec& spec = plan.sites[site];
-      for (const auto& num : split(entry.substr(at + 1), ',')) {
+      for (const auto& num : split(std::string_view(entry).substr(at + 1), ',')) {
         auto n = parse_u64(trim(num));
         if (!n.ok() || *n == 0) {
           return Fail::failure(Errc::invalid_argument,

@@ -4,30 +4,38 @@
 
 namespace jfm::support {
 
-std::vector<std::string> split(std::string_view text, char sep) {
-  std::vector<std::string> out;
+namespace {
+/// std::isspace's set in the "C" locale. The file formats are ASCII, so
+/// the tokenizers below, which sit on every design-file parse, skip the
+/// per-character locale lookup.
+constexpr bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' || c == '\v';
+}
+}  // namespace
+
+std::vector<std::string_view> split(std::string_view text, char sep) {
+  std::vector<std::string_view> out;
   std::size_t start = 0;
   while (true) {
     std::size_t pos = text.find(sep, start);
     if (pos == std::string_view::npos) {
-      out.emplace_back(text.substr(start));
+      out.push_back(text.substr(start));
       return out;
     }
-    out.emplace_back(text.substr(start, pos - start));
+    out.push_back(text.substr(start, pos - start));
     start = pos + 1;
   }
 }
 
-std::vector<std::string> split_ws(std::string_view text) {
-  std::vector<std::string> out;
+void split_ws(std::string_view text, std::vector<std::string_view>& fields) {
+  fields.clear();
   std::size_t i = 0;
   while (i < text.size()) {
-    while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) ++i;
+    while (i < text.size() && is_space(text[i])) ++i;
     std::size_t start = i;
-    while (i < text.size() && !std::isspace(static_cast<unsigned char>(text[i]))) ++i;
-    if (i > start) out.emplace_back(text.substr(start, i - start));
+    while (i < text.size() && !is_space(text[i])) ++i;
+    if (i > start) fields.push_back(text.substr(start, i - start));
   }
-  return out;
 }
 
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {
@@ -42,8 +50,8 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
 std::string_view trim(std::string_view text) {
   std::size_t b = 0;
   std::size_t e = text.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(text[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(text[e - 1]))) --e;
+  while (b < e && is_space(text[b])) ++b;
+  while (e > b && is_space(text[e - 1])) --e;
   return text.substr(b, e - b);
 }
 

@@ -16,7 +16,9 @@
 // port named p is attached to the net named p inside the child.
 
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "jfm/support/result.hpp"
@@ -67,13 +69,15 @@ struct Schematic {
   /// Structural consistency: names unique, connections reference
   /// existing nets/elements, each pin connected at most once, gate
   /// types known, port names don't collide with nets they imply.
+  /// Linear in the schematic's size; the first failing check (in
+  /// record order) is the one reported.
   support::Status validate() const;
 };
 
-/// Known primitive gates and their pin lists.
+/// Known primitive gates and their pin lists (static storage).
 bool is_known_gate(std::string_view gate);
-std::vector<std::string> gate_input_pins(std::string_view gate);
-std::string gate_output_pin(std::string_view gate);
+std::span<const std::string_view> gate_input_pins(std::string_view gate);
+std::string_view gate_output_pin(std::string_view gate);
 
 std::string_view to_string(PortDir dir);
 support::Result<PortDir> port_dir_from(std::string_view text);

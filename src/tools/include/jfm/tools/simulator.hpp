@@ -3,8 +3,11 @@
 // engine). Works on a flat Circuit produced by the elaborator.
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "jfm/support/result.hpp"
@@ -21,17 +24,25 @@ struct CircuitGate {
   SimTime delay = 1;            ///< propagation delay in ticks
 };
 
+/// Transparent string hash: lookups by string_view build no key.
+struct SignalNameHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view name) const noexcept {
+    return std::hash<std::string_view>{}(name);
+  }
+};
+
 struct Circuit {
   std::vector<std::string> signal_names;  ///< index = signal id
   std::vector<CircuitGate> gates;
 
-  int find_signal(std::string_view name) const;  ///< -1 if missing
-  int add_signal(const std::string& name);       ///< existing id if present
+  int find_signal(std::string_view name) const;  ///< -1 if missing; O(1)
+  int add_signal(std::string_view name);         ///< existing id if present; O(1)
   std::size_t signal_count() const { return signal_names.size(); }
 
-  /// Name -> id index, kept by add_signal (do not mutate signal_names
-  /// directly when using the helpers).
-  std::map<std::string, int, std::less<>> signal_index;
+  /// Name -> id index, kept by add_signal. find_signal answers from it
+  /// alone, so signal_names must only grow through add_signal.
+  std::unordered_map<std::string, int, SignalNameHash, std::equal_to<>> signal_index;
 
   /// Signals not driven by any gate output (primary inputs).
   std::vector<int> undriven_signals() const;

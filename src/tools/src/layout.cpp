@@ -35,20 +35,21 @@ std::string Layout::serialize() const {
 
 Result<Layout> Layout::parse(const std::string& payload) {
   Layout out;
+  std::vector<std::string_view> f;
   for (const auto& raw : support::split(payload, '\n')) {
     std::string_view line = support::trim(raw);
     if (line.empty() || line[0] == '#') continue;
-    auto f = support::split_ws(line);
+    support::split_ws(line, f);
     try {
       if (f[0] == "layer" && f.size() == 2) {
-        out.layers.push_back(f[1]);
+        out.layers.emplace_back(f[1]);
       } else if (f[0] == "rect" && (f.size() == 6 || f.size() == 7)) {
         Rect r;
         r.layer = f[1];
-        r.x1 = std::stoll(f[2]);
-        r.y1 = std::stoll(f[3]);
-        r.x2 = std::stoll(f[4]);
-        r.y2 = std::stoll(f[5]);
+        r.x1 = std::stoll(std::string(f[2]));
+        r.y1 = std::stoll(std::string(f[3]));
+        r.x2 = std::stoll(std::string(f[4]));
+        r.y2 = std::stoll(std::string(f[5]));
         if (f.size() == 7) r.net = f[6];
         if (r.x1 > r.x2) std::swap(r.x1, r.x2);
         if (r.y1 > r.y2) std::swap(r.y1, r.y2);
@@ -58,8 +59,8 @@ Result<Layout> Layout::parse(const std::string& payload) {
         p.name = f[1];
         p.master_cell = f[2];
         p.master_view = f[3];
-        p.x = std::stoll(f[4]);
-        p.y = std::stoll(f[5]);
+        p.x = std::stoll(std::string(f[4]));
+        p.y = std::stoll(std::string(f[5]));
         out.placements.push_back(std::move(p));
       } else {
         return Result<Layout>::failure(Errc::parse_error,

@@ -4,6 +4,8 @@
 #include <map>
 #include <set>
 
+#include "jfm/support/telemetry.hpp"
+
 namespace jfm::tools {
 
 std::vector<std::string> LvsReport::describe() const {
@@ -24,6 +26,7 @@ std::vector<std::string> LvsReport::describe() const {
 }
 
 LvsReport lvs_compare(const Schematic& schematic, const Layout& layout) {
+  JFM_SPAN("tools", "lvs_compare");
   LvsReport report;
 
   std::set<std::string> sch_nets(schematic.nets.begin(), schematic.nets.end());

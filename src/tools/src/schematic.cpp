@@ -1,7 +1,9 @@
 #include "jfm/tools/schematic.hpp"
 
 #include <algorithm>
-#include <set>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 
 #include "jfm/support/strings.hpp"
 
@@ -18,13 +20,16 @@ bool is_known_gate(std::string_view gate) {
                      [gate](const char* g) { return gate == g; });
 }
 
-std::vector<std::string> gate_input_pins(std::string_view gate) {
-  if (gate == "NOT" || gate == "BUF") return {"a"};
-  if (gate == "DFF") return {"d", "clk"};
-  return {"a", "b"};
+std::span<const std::string_view> gate_input_pins(std::string_view gate) {
+  static constexpr std::string_view kUnary[] = {"a"};
+  static constexpr std::string_view kFlop[] = {"d", "clk"};
+  static constexpr std::string_view kBinary[] = {"a", "b"};
+  if (gate == "NOT" || gate == "BUF") return kUnary;
+  if (gate == "DFF") return kFlop;
+  return kBinary;
 }
 
-std::string gate_output_pin(std::string_view gate) { return gate == "DFF" ? "q" : "y"; }
+std::string_view gate_output_pin(std::string_view gate) { return gate == "DFF" ? "q" : "y"; }
 
 std::string_view to_string(PortDir dir) {
   switch (dir) {
@@ -60,22 +65,24 @@ std::string Schematic::serialize() const {
 
 Result<Schematic> Schematic::parse(const std::string& payload) {
   Schematic out;
+  std::vector<std::string_view> f;  // one line's fields, reused
   for (const auto& raw : support::split(payload, '\n')) {
     std::string_view line = support::trim(raw);
     if (line.empty() || line[0] == '#') continue;
-    auto f = support::split_ws(line);
+    support::split_ws(line, f);
+    auto field = [&f](std::size_t i) { return std::string(f[i]); };
     if (f[0] == "port" && f.size() == 3) {
       auto dir = port_dir_from(f[2]);
       if (!dir.ok()) return Result<Schematic>::failure(dir.error().code, dir.error().message);
-      out.ports.push_back({f[1], *dir});
+      out.ports.push_back({field(1), *dir});
     } else if (f[0] == "net" && f.size() == 2) {
-      out.nets.push_back(f[1]);
+      out.nets.push_back(field(1));
     } else if (f[0] == "prim" && f.size() == 3) {
-      out.primitives.push_back({f[1], f[2]});
+      out.primitives.push_back({field(1), field(2)});
     } else if (f[0] == "inst" && f.size() == 4) {
-      out.instances.push_back({f[1], f[2], f[3]});
+      out.instances.push_back({field(1), field(2), field(3)});
     } else if (f[0] == "conn" && f.size() == 4) {
-      out.connections.push_back({f[1], f[2], f[3]});
+      out.connections.push_back({field(1), field(2), field(3)});
     } else {
       return Result<Schematic>::failure(Errc::parse_error,
                                         "schematic: bad record '" + std::string(line) + "'");
@@ -118,54 +125,64 @@ std::optional<std::string> Schematic::net_of(std::string_view element,
 }
 
 Status Schematic::validate() const {
-  std::set<std::string> names;
+  // Every lookup below is a hash probe of views into this schematic.
+  const std::unordered_set<std::string_view> net_set(nets.begin(), nets.end());
+  std::unordered_set<std::string_view> port_names;
   for (const auto& p : ports) {
     if (!support::is_identifier(p.name)) {
       return support::fail(Errc::invalid_argument, "bad port name '" + p.name + "'");
     }
-    if (!names.insert("port:" + p.name).second) {
+    if (!port_names.insert(p.name).second) {
       return support::fail(Errc::already_exists, "duplicate port " + p.name);
     }
     // a port implies a net of the same name; it must exist
-    if (!has_net(p.name)) {
+    if (!net_set.contains(p.name)) {
       return support::fail(Errc::consistency_violation,
                            "port " + p.name + " has no matching net");
     }
   }
-  std::set<std::string> net_set;
+  std::unordered_set<std::string_view> seen_nets;
   for (const auto& n : nets) {
     if (!support::is_identifier(n)) {
       return support::fail(Errc::invalid_argument, "bad net name '" + n + "'");
     }
-    if (!net_set.insert(n).second) {
+    if (!seen_nets.insert(n).second) {
       return support::fail(Errc::already_exists, "duplicate net " + n);
     }
   }
-  std::set<std::string> elements;
+  // element name -> its primitive (nullptr for an instance)
+  std::unordered_map<std::string_view, const Primitive*> elements;
   for (const auto& g : primitives) {
     if (!is_known_gate(g.gate)) {
       return support::fail(Errc::invalid_argument, "unknown gate type " + g.gate);
     }
-    if (!elements.insert(g.name).second) {
+    if (!elements.emplace(g.name, &g).second) {
       return support::fail(Errc::already_exists, "duplicate element " + g.name);
     }
   }
   for (const auto& i : instances) {
-    if (!elements.insert(i.name).second) {
+    if (!elements.emplace(i.name, nullptr).second) {
       return support::fail(Errc::already_exists, "duplicate element " + i.name);
     }
   }
-  std::set<std::pair<std::string, std::string>> pins_used;
+  struct PinHash {
+    std::size_t operator()(const std::pair<std::string_view, std::string_view>& pin) const {
+      const std::hash<std::string_view> hash;
+      return hash(pin.first) * 31 + hash(pin.second);
+    }
+  };
+  std::unordered_set<std::pair<std::string_view, std::string_view>, PinHash> pins_used;
   for (const auto& c : connections) {
     if (!net_set.contains(c.net)) {
       return support::fail(Errc::consistency_violation,
                            "connection references unknown net " + c.net);
     }
-    if (!elements.contains(c.element)) {
+    auto element = elements.find(c.element);
+    if (element == elements.end()) {
       return support::fail(Errc::consistency_violation,
                            "connection references unknown element " + c.element);
     }
-    if (const Primitive* g = find_primitive(c.element); g != nullptr) {
+    if (const Primitive* g = element->second; g != nullptr) {
       auto inputs = gate_input_pins(g->gate);
       bool known_pin = c.pin == gate_output_pin(g->gate) ||
                        std::find(inputs.begin(), inputs.end(), c.pin) != inputs.end();
@@ -174,7 +191,7 @@ Status Schematic::validate() const {
                              "gate " + g->name + " (" + g->gate + ") has no pin " + c.pin);
       }
     }
-    if (!pins_used.insert({c.element, c.pin}).second) {
+    if (!pins_used.emplace(c.element, c.pin).second) {
       return support::fail(Errc::consistency_violation,
                            "pin " + c.element + "." + c.pin + " connected twice");
     }

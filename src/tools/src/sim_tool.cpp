@@ -31,34 +31,36 @@ std::string Testbench::serialize() const {
 
 Result<Testbench> Testbench::parse(const std::string& payload) {
   Testbench out;
+  std::vector<std::string_view> f;
   for (const auto& raw : support::split(payload, '\n')) {
     std::string_view line = support::trim(raw);
     if (line.empty() || line[0] == '#') continue;
-    auto f = support::split_ws(line);
+    support::split_ws(line, f);
     auto fail = [&](const std::string& why) {
       return Result<Testbench>::failure(Errc::parse_error, "testbench: " + why);
     };
     try {
       if (f[0] == "dut" && f.size() == 3) {
-        out.dut = {f[1], f[2]};
+        out.dut = {std::string(f[1]), std::string(f[2])};
       } else if (f[0] == "stim" && f.size() == 4 && f[2].size() >= 1 && f[3].size() == 1) {
         auto v = logic_from(f[3][0]);
         if (!v.ok()) return fail(v.error().message);
-        out.stimuli.push_back({std::stoull(f[1]), f[2], *v});
+        out.stimuli.push_back({std::stoull(std::string(f[1])), std::string(f[2]), *v});
       } else if (f[0] == "watch" && f.size() == 2) {
-        out.watches.push_back(f[1]);
+        out.watches.emplace_back(f[1]);
       } else if (f[0] == "runtime" && f.size() == 2) {
-        out.runtime = std::stoull(f[1]);
+        out.runtime = std::stoull(std::string(f[1]));
       } else if (f[0] == "result" && f.size() == 3 && f[2].size() == 1) {
         auto v = logic_from(f[2][0]);
         if (!v.ok()) return fail(v.error().message);
         out.results.emplace_back(f[1], *v);
         out.has_results = true;
       } else if (f[0] == "trace" && f.size() == 4) {
-        out.trace_text.push_back(f[1] + " " + f[2] + " " + f[3]);
+        out.trace_text.push_back(std::string(f[1]) + " " + std::string(f[2]) + " " +
+                                 std::string(f[3]));
         out.has_results = true;
       } else if (f[0] == "events" && f.size() == 2) {
-        out.events = std::stoull(f[1]);
+        out.events = std::stoull(std::string(f[1]));
         out.has_results = true;
       } else {
         return fail("bad record '" + std::string(line) + "'");

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "jfm/support/telemetry.hpp"
+
 namespace jfm::tools {
 
 using support::Errc;
@@ -10,21 +12,14 @@ using support::Status;
 
 int Circuit::find_signal(std::string_view name) const {
   auto it = signal_index.find(name);
-  if (it != signal_index.end()) return it->second;
-  // Fallback for hand-built circuits that filled signal_names directly.
-  for (std::size_t i = 0; i < signal_names.size(); ++i) {
-    if (signal_names[i] == name) return static_cast<int>(i);
-  }
-  return -1;
+  return it == signal_index.end() ? -1 : it->second;
 }
 
-int Circuit::add_signal(const std::string& name) {
-  int existing = find_signal(name);
-  if (existing >= 0) return existing;
-  signal_names.push_back(name);
-  int id = static_cast<int>(signal_names.size() - 1);
-  signal_index.emplace(name, id);
-  return id;
+int Circuit::add_signal(std::string_view name) {
+  auto [it, inserted] =
+      signal_index.try_emplace(std::string(name), static_cast<int>(signal_names.size()));
+  if (inserted) signal_names.push_back(it->first);
+  return it->second;
 }
 
 std::vector<int> Circuit::undriven_signals() const {
@@ -87,6 +82,7 @@ Status Simulator::inject(SimTime time, std::string_view signal, Logic value) {
 }
 
 Result<std::uint64_t> Simulator::run(SimTime until) {
+  JFM_SPAN("tools", "simulate");
   std::uint64_t processed = 0;
   constexpr std::uint64_t kEventLimit = 2'000'000;  // oscillation backstop
   while (!queue_.empty()) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <queue>
 
+#include "jfm/support/telemetry.hpp"
+
 namespace jfm::tools {
 
 using support::Errc;
@@ -19,6 +21,7 @@ std::string TimingReport::describe(const Circuit& circuit) const {
 }
 
 Result<TimingReport> analyze_timing(const Circuit& circuit) {
+  JFM_SPAN("tools", "analyze_timing");
   const std::size_t n = circuit.signal_count();
   TimingReport report;
   report.arrival.assign(n, 0);

@@ -13,6 +13,8 @@ using support::Errc;
 
 class SharingTest : public ::testing::Test {
  protected:
+  explicit SharingTest(oms::StoreOptions options = {}) : jcf(&clock, options) {}
+
   void SetUp() override {
     user = *jcf.create_user("alice");
     team = *jcf.create_team("rtl");
@@ -38,7 +40,7 @@ class SharingTest : public ::testing::Test {
   }
 
   support::SimClock clock;
-  JcfFramework jcf{&clock};
+  JcfFramework jcf;
   UserRef user;
   TeamRef team;
   ViewTypeRef vt;
@@ -141,6 +143,73 @@ TEST_F(SharingTest, CheckpointIsStable) {
   ASSERT_TRUE(restored.checkpoint(fs, f2).ok());
   EXPECT_EQ(*fs.read_file(f1), *fs.read_file(f2));
 }
+
+// find_cell and create_cell's duplicate check answer from the (Cell,
+// name) attribute index. Every case runs with the indexes on and with
+// the full-scan ablation, which must give the same answers.
+class FindCellTest : public ::testing::WithParamInterface<bool>, public SharingTest {
+ protected:
+  FindCellTest() : SharingTest(oms::StoreOptions{.secondary_indexes = GetParam()}) {}
+
+  ProjectRef project(const std::string& name) { return *jcf.create_project(name, team); }
+};
+
+TEST_P(FindCellTest, SameNamedCellElsewhereIsInvisibleUntilShared) {
+  auto ip_uart = published_cell(ip_library, "uart");
+  auto vendor = project("vendor");
+  auto vendor_uart = published_cell(vendor, "uart");
+  EXPECT_EQ(*jcf.find_cell(ip_library, "uart"), ip_uart);
+  EXPECT_EQ(*jcf.find_cell(vendor, "uart"), vendor_uart);
+  auto missing = jcf.find_cell(soc, "uart");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.error().code, Errc::not_found);
+  EXPECT_EQ(missing.error().message, "cell 'uart'");
+  // sharing the later-created one makes exactly that one visible
+  ASSERT_TRUE(jcf.share_cell(soc, vendor_uart).ok());
+  EXPECT_EQ(*jcf.find_cell(soc, "uart"), vendor_uart);
+}
+
+TEST_P(FindCellTest, SameNamedSharedCellsResolveInLinkOrder) {
+  auto ip_uart = published_cell(ip_library, "uart");  // smaller id
+  auto vendor_uart = published_cell(project("vendor"), "uart");
+  ASSERT_TRUE(jcf.share_cell(soc, vendor_uart).ok());
+  ASSERT_TRUE(jcf.share_cell(soc, ip_uart).ok());
+  EXPECT_EQ(*jcf.find_cell(soc, "uart"), vendor_uart);  // linked first, not smallest id
+  auto other = project("other");
+  ASSERT_TRUE(jcf.share_cell(other, ip_uart).ok());
+  ASSERT_TRUE(jcf.share_cell(other, vendor_uart).ok());
+  EXPECT_EQ(*jcf.find_cell(other, "uart"), ip_uart);
+  // an own cell still shadows both
+  auto own = *jcf.create_cell(soc, "uart", flow, team);
+  EXPECT_EQ(*jcf.find_cell(soc, "uart"), own);
+}
+
+TEST_P(FindCellTest, UnknownProjectKeepsItsError) {
+  (void)published_cell(ip_library, "uart");
+  for (ProjectRef bogus : {ProjectRef(oms::ObjectId(987654)), ProjectRef(team.id)}) {
+    auto found = jcf.find_cell(bogus, "uart");
+    ASSERT_FALSE(found.ok());
+    EXPECT_EQ(found.error().code, Errc::not_found);
+    EXPECT_EQ(found.error().message, "cell 'uart'");
+  }
+}
+
+TEST_P(FindCellTest, CreateCellRejectsOnlyOwnDuplicates) {
+  auto ip_uart = published_cell(ip_library, "uart");
+  auto dup = jcf.create_cell(ip_library, "uart", flow, team);
+  ASSERT_FALSE(dup.ok());
+  EXPECT_EQ(dup.error().code, Errc::already_exists);
+  EXPECT_EQ(dup.error().message, "cell 'uart' in this project");
+  // a shared cell of the same name does not block an own one
+  ASSERT_TRUE(jcf.share_cell(soc, ip_uart).ok());
+  EXPECT_TRUE(jcf.create_cell(soc, "uart", flow, team).ok());
+  EXPECT_TRUE(jcf.create_cell(project("vendor"), "uart", flow, team).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(Indexes, FindCellTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "indexed" : "full_scan");
+                         });
 
 }  // namespace
 }  // namespace jfm::jcf

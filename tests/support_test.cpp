@@ -162,10 +162,25 @@ TEST(Strings, SplitPreservesEmptyFields) {
 }
 
 TEST(Strings, SplitWsDropsEmpty) {
-  auto parts = split_ws("  a \t b\nc  ");
-  ASSERT_EQ(parts.size(), 3u);
+  std::vector<std::string_view> parts;
+  split_ws("  a \t b\nc \r\f\vd  ", parts);
+  ASSERT_EQ(parts.size(), 4u);
   EXPECT_EQ(parts[2], "c");
-  EXPECT_TRUE(split_ws("   ").empty());
+  EXPECT_EQ(parts[3], "d");
+  split_ws("   ", parts);
+  EXPECT_TRUE(parts.empty());
+}
+
+TEST(Strings, SplitReturnsViewsIntoTheText) {
+  const std::string text = "ab,c";
+  auto parts = split(text, ',');
+  ASSERT_EQ(parts.size(), 2u);
+  EXPECT_EQ(parts[0].data(), text.data());
+  EXPECT_EQ(parts[1].data(), text.data() + 3);
+  std::vector<std::string_view> fields;
+  split_ws(text, fields);
+  ASSERT_EQ(fields.size(), 1u);
+  EXPECT_EQ(fields[0].data(), text.data());
 }
 
 TEST(Strings, JoinAndTrim) {
@@ -173,6 +188,7 @@ TEST(Strings, JoinAndTrim) {
   EXPECT_EQ(join({}, ","), "");
   EXPECT_EQ(trim("  x  "), "x");
   EXPECT_EQ(trim("\t\n"), "");
+  EXPECT_EQ(trim("\r\f\vx y\v"), "x y");
 }
 
 TEST(Strings, Identifier) {

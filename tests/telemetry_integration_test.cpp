@@ -129,6 +129,59 @@ TEST_F(TelemetryIntegrationTest, TracedCheckoutNestsSpansCorrectly) {
   EXPECT_TRUE(export_under_batch);
 }
 
+TEST_F(TelemetryIntegrationTest, SimulateActivityNestsToolsSpansUnderRunActivity) {
+  ASSERT_TRUE(hybrid.create_cell("proj", "inv", alice).ok());
+  ASSERT_TRUE(hybrid.reserve_cell("proj", "inv", alice).ok());
+  ASSERT_TRUE(hybrid
+                  .run_activity("proj", "inv", "enter_schematic", alice,
+                                {{"add-port", {"a", "in"}},
+                                 {"add-port", {"y", "out"}},
+                                 {"add-prim", {"g0", "NOT"}},
+                                 {"connect", {"a", "g0", "a"}},
+                                 {"connect", {"y", "g0", "y"}}})
+                  .ok());
+  auto& tracer = telemetry::Tracer::global();
+  tracer.enable();
+  auto run = hybrid.run_activity("proj", "inv", "simulate", alice,
+                                 {{"set-dut", {"inv", "schematic"}},
+                                  {"add-stim", {"1", "a", "1"}},
+                                  {"add-watch", {"y"}},
+                                  {"run", {}}});
+  tracer.disable();
+  ASSERT_TRUE(run.ok()) << run.error().to_text();
+
+  auto spans = tracer.snapshot();
+  auto find = [&](const std::string& subsystem,
+                  const std::string& name) -> const telemetry::SpanRecord* {
+    for (const auto& span : spans) {
+      if (span.subsystem == subsystem && span.name == name) return &span;
+    }
+    return nullptr;
+  };
+  auto nested_under = [&](const telemetry::SpanRecord* span, std::uint64_t ancestor) {
+    for (std::uint64_t id = span->parent; id != 0;) {
+      if (id == ancestor) return true;
+      const telemetry::SpanRecord* up = nullptr;
+      for (const auto& candidate : spans) {
+        if (candidate.id == id) up = &candidate;
+      }
+      if (up == nullptr) return false;
+      id = up->parent;
+    }
+    return false;
+  };
+  const auto* activity = find("coupling", "run_activity");
+  const auto* elaborate = find("tools", "elaborate");
+  const auto* simulate = find("tools", "simulate");
+  ASSERT_NE(activity, nullptr);
+  ASSERT_NE(elaborate, nullptr);
+  ASSERT_NE(simulate, nullptr);
+  EXPECT_TRUE(nested_under(elaborate, activity->id));
+  EXPECT_TRUE(nested_under(simulate, activity->id));
+  // elaboration finishes before the simulator starts
+  EXPECT_LE(elaborate->start_us + elaborate->duration_us, simulate->start_us);
+}
+
 TEST_F(TelemetryIntegrationTest, StatsCommandDumpsRegistryTableAndJson) {
   make_populated_cell("top");
   auto result = shell->run_script(R"(

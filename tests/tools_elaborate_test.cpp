@@ -5,7 +5,12 @@
 
 #include <map>
 
+#include "jfm/coupling/resolvers.hpp"
+#include "jfm/fmcad/session.hpp"
+#include "jfm/support/hash.hpp"
 #include "jfm/tools/elaborate.hpp"
+#include "jfm/tools/timing.hpp"
+#include "jfm/workload/generators.hpp"
 
 namespace jfm::tools {
 namespace {
@@ -153,6 +158,51 @@ TEST(Elaborate, MultiDriverAcrossHierarchyDetected) {
   auto circuit = elaborate(top, "top", map_resolver({{"inv", inverter_cell()}}));
   ASSERT_FALSE(circuit.ok());
   EXPECT_EQ(circuit.error().code, Errc::consistency_violation);
+}
+
+// Golden output of a generated hierarchy: signal ids, every gate and the
+// timing report. Signal ids decide which of several equal-delay critical
+// paths analyze_timing reports, so the digest pins the elaborator's
+// numbering as well as its structure.
+TEST(Elaborate, GeneratedHierarchyMatchesGoldenDigest) {
+  support::SimClock clock;
+  vfs::FileSystem fs(&clock);
+  ASSERT_TRUE(fs.mkdirs(vfs::Path().child("libs")).ok());
+  auto library = fmcad::Library::create(&fs, &clock, vfs::Path().child("libs"), "golden");
+  ASSERT_TRUE(library.ok());
+  fmcad::DesignerSession session(*library, "alice");
+  ASSERT_TRUE(session.define_view("schematic", "schematic").ok());
+  workload::HierarchySpec spec;
+  spec.depth = 3;
+  spec.fanout = 3;
+  spec.leaf_gates = 8;
+  support::Rng rng(20260417);
+  auto top_name = workload::build_hierarchical_library(session, spec, rng);
+  ASSERT_TRUE(top_name.ok()) << top_name.error().to_text();
+
+  auto resolver = coupling::make_fmcad_resolver(*library);
+  auto top = resolver({*top_name, "schematic"});
+  ASSERT_TRUE(top.ok()) << top.error().to_text();
+  auto circuit = elaborate(*top, *top_name, resolver);
+  ASSERT_TRUE(circuit.ok()) << circuit.error().to_text();
+  auto timing = analyze_timing(*circuit);
+  ASSERT_TRUE(timing.ok()) << timing.error().to_text();
+
+  std::string text;
+  for (const auto& name : circuit->signal_names) text += name + "\n";
+  for (const auto& gate : circuit->gates) {
+    text += gate.type;
+    for (int in : gate.inputs) text += " " + std::to_string(in);
+    text += " -> " + std::to_string(gate.output) + " @" + std::to_string(gate.delay) + "\n";
+  }
+  text += timing->describe(*circuit);
+
+  EXPECT_EQ(circuit->signal_count(), 244u);
+  EXPECT_EQ(circuit->gates.size(), 242u);
+  EXPECT_EQ(timing->describe(*circuit),
+            "a -> u0/u1/u0/n0 -> u0/u1/u0/n2 -> u0/u1/u0/n3 -> u0/u1/u0/n4 -> u0/u1/u0/n6 -> "
+            "u0/u1/n0 -> u0/u1/m1 -> u0/n1 -> u0/m1 -> n0 -> m1 -> y (delay 12)");
+  EXPECT_EQ(support::fnv1a(text), 12093834008415740602ull);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "jfm/tools/schematic_tool.hpp"
 
 namespace jfm::tools {
@@ -29,10 +31,50 @@ TEST(Schematic, SerializeParseRoundTrip) {
 }
 
 TEST(Schematic, ParseErrors) {
-  EXPECT_EQ(Schematic::parse("bogus line").code(), Errc::parse_error);
-  EXPECT_EQ(Schematic::parse("port x sideways").code(), Errc::parse_error);
-  // comments and blanks are fine
-  EXPECT_TRUE(Schematic::parse("# comment\n\nnet n1\n").ok());
+  // ok rows carry the canonical re-serialization, error rows the message
+  struct Row {
+    const char* name;
+    std::string payload;
+    Errc code;  // Errc::ok: parses, and re-serializes to `expect`
+    std::string expect;
+  };
+  const Row rows[] = {
+      {"comments and blanks", "# comment\n\nnet n1\n", Errc::ok, "net n1\n"},
+      {"tabs", "port\ta\tin\nnet\ta\n", Errc::ok, "port a in\nnet a\n"},
+      {"runs of spaces", "net   n1\nprim  g0   BUF\nconn  n1  g0    a\n", Errc::ok,
+       "net n1\nprim g0 BUF\nconn n1 g0 a\n"},
+      {"carriage returns", "net n1\r\ninst u0 child schematic\r\n", Errc::ok,
+       "net n1\ninst u0 child schematic\n"},
+      {"blank, space-only and # lines", "\n   \n# c\nnet n1\n  # indented\n\t\n", Errc::ok,
+       "net n1\n"},
+      {"no trailing newline", "net n1\nnet n2", Errc::ok, "net n1\nnet n2\n"},
+      {"empty payload", "", Errc::ok, ""},
+      {"unknown record", "bogus line", Errc::parse_error, "schematic: bad record 'bogus line'"},
+      {"bad port direction", "port x sideways", Errc::parse_error,
+       "bad port direction 'sideways'"},
+      {"one field too many", "net n1\nnet n2 extra\n", Errc::parse_error,
+       "schematic: bad record 'net n2 extra'"},
+      {"conn with one field too many", "conn n1 g0 a b", Errc::parse_error,
+       "schematic: bad record 'conn n1 g0 a b'"},
+      {"one field too few", "inst u0 child", Errc::parse_error,
+       "schematic: bad record 'inst u0 child'"},
+      {"error text is the trimmed line", "  bogus\t \r\n", Errc::parse_error,
+       "schematic: bad record 'bogus'"},
+      {"first bad record wins", "net n1\nfoo\nbar\n", Errc::parse_error,
+       "schematic: bad record 'foo'"},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.name);
+    auto parsed = Schematic::parse(row.payload);
+    if (row.code == Errc::ok) {
+      ASSERT_TRUE(parsed.ok()) << parsed.error().to_text();
+      EXPECT_EQ(parsed->serialize(), row.expect);
+    } else {
+      ASSERT_FALSE(parsed.ok());
+      EXPECT_EQ(parsed.error().code, row.code);
+      EXPECT_EQ(parsed.error().message, row.expect);
+    }
+  }
 }
 
 TEST(Schematic, Lookups) {
@@ -48,49 +90,87 @@ TEST(Schematic, Lookups) {
 
 TEST(Schematic, ValidateCatchesProblems) {
   EXPECT_TRUE(buffer_schematic().validate().ok());
-  {
+  struct Row {
+    const char* name;
+    std::function<void(Schematic&)> break_it;
+    Errc code;
+    std::string message;
+  };
+  const Row rows[] = {
+      {"bad port name", [](Schematic& s) { s.ports.push_back({"1p", PortDir::in}); },
+       Errc::invalid_argument, "bad port name '1p'"},
+      {"duplicate port", [](Schematic& s) { s.ports.push_back({"a", PortDir::out}); },
+       Errc::already_exists, "duplicate port a"},
+      {"port without net", [](Schematic& s) { s.nets.erase(s.nets.begin()); },
+       Errc::consistency_violation, "port a has no matching net"},
+      {"bad net name", [](Schematic& s) { s.nets.push_back("9n"); }, Errc::invalid_argument,
+       "bad net name '9n'"},
+      {"duplicate net", [](Schematic& s) { s.nets.push_back("y"); }, Errc::already_exists,
+       "duplicate net y"},
+      {"unknown gate", [](Schematic& s) { s.primitives.push_back({"g1", "FROB"}); },
+       Errc::invalid_argument, "unknown gate type FROB"},
+      {"duplicate primitive", [](Schematic& s) { s.primitives.push_back({"g0", "AND"}); },
+       Errc::already_exists, "duplicate element g0"},
+      {"instance named like a primitive",
+       [](Schematic& s) { s.instances.push_back({"g0", "child", "schematic"}); },
+       Errc::already_exists, "duplicate element g0"},
+      {"unknown net", [](Schematic& s) { s.connections.push_back({"missing", "g0", "a"}); },
+       Errc::consistency_violation, "connection references unknown net missing"},
+      {"unknown element", [](Schematic& s) { s.connections.push_back({"y", "ghost", "a"}); },
+       Errc::consistency_violation, "connection references unknown element ghost"},
+      {"pin connected twice", [](Schematic& s) { s.connections.push_back({"y", "g0", "a"}); },
+       Errc::consistency_violation, "pin g0.a connected twice"},
+      {"unknown gate pin",
+       [](Schematic& s) { s.connections.push_back({"y", "g0", "weird_pin"}); },
+       Errc::invalid_argument, "gate g0 (BUF) has no pin weird_pin"},
+      {"instance pins are not checked here",
+       [](Schematic& s) {
+         s.instances.push_back({"u0", "child", "schematic"});
+         s.connections.push_back({"y", "u0", "anything"});
+       },
+       Errc::ok, ""},
+      // Two faults: the first in check order is the one reported.
+      {"port fault before net fault",
+       [](Schematic& s) {
+         s.nets.push_back("9n");
+         s.ports.push_back({"b", PortDir::in});
+       },
+       Errc::consistency_violation, "port b has no matching net"},
+      {"net fault before gate fault",
+       [](Schematic& s) {
+         s.primitives.push_back({"g1", "FROB"});
+         s.nets.push_back("a");
+       },
+       Errc::already_exists, "duplicate net a"},
+      {"earlier connection fault wins",
+       [](Schematic& s) {
+         s.connections.push_back({"y", "g0", "weird_pin"});
+         s.connections.push_back({"missing", "g0", "a"});
+       },
+       Errc::invalid_argument, "gate g0 (BUF) has no pin weird_pin"},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.name);
     Schematic s = buffer_schematic();
-    s.nets.erase(s.nets.begin());  // port a has no net
-    EXPECT_EQ(s.validate().code(), Errc::consistency_violation);
-  }
-  {
-    Schematic s = buffer_schematic();
-    s.primitives.push_back({"g1", "FROB"});
-    EXPECT_EQ(s.validate().code(), Errc::invalid_argument);
-  }
-  {
-    Schematic s = buffer_schematic();
-    s.connections.push_back({"missing", "g0", "a"});
-    EXPECT_EQ(s.validate().code(), Errc::consistency_violation);
-  }
-  {
-    Schematic s = buffer_schematic();
-    s.connections.push_back({"y", "ghost", "a"});
-    EXPECT_EQ(s.validate().code(), Errc::consistency_violation);
-  }
-  {
-    Schematic s = buffer_schematic();
-    s.connections.push_back({"y", "g0", "a"});  // pin connected twice
-    EXPECT_EQ(s.validate().code(), Errc::consistency_violation);
-  }
-  {
-    Schematic s = buffer_schematic();
-    s.connections.push_back({"y", "g0", "weird_pin"});
-    EXPECT_EQ(s.validate().code(), Errc::invalid_argument);
-  }
-  {
-    Schematic s = buffer_schematic();
-    s.primitives.push_back({"g0", "AND"});  // duplicate element name
-    EXPECT_EQ(s.validate().code(), Errc::already_exists);
+    row.break_it(s);
+    auto st = s.validate();
+    EXPECT_EQ(st.code(), row.code);
+    if (!st.ok()) {
+      EXPECT_EQ(st.error().message, row.message);
+    }
   }
 }
 
 TEST(GateInfo, PinConventions) {
   EXPECT_TRUE(is_known_gate("NAND"));
   EXPECT_FALSE(is_known_gate("TRI"));
-  EXPECT_EQ(gate_input_pins("NOT"), std::vector<std::string>{"a"});
-  EXPECT_EQ(gate_input_pins("DFF"), (std::vector<std::string>{"d", "clk"}));
-  EXPECT_EQ(gate_input_pins("XOR"), (std::vector<std::string>{"a", "b"}));
+  auto pins = [](std::string_view gate) {
+    auto span = gate_input_pins(gate);
+    return std::vector<std::string>(span.begin(), span.end());
+  };
+  EXPECT_EQ(pins("NOT"), std::vector<std::string>{"a"});
+  EXPECT_EQ(pins("DFF"), (std::vector<std::string>{"d", "clk"}));
+  EXPECT_EQ(pins("XOR"), (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(gate_output_pin("DFF"), "q");
   EXPECT_EQ(gate_output_pin("AND"), "y");
 }

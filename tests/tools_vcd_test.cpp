@@ -85,10 +85,11 @@ TEST(Vcd, ManySignalsGetDistinctCodes) {
   std::string vcd = to_vcd(sim);
   // every $var line has a unique identifier
   std::set<std::string> codes;
+  std::vector<std::string_view> words;
   for (const auto& line : support::split(vcd, '\n')) {
-    auto words = support::split_ws(line);
+    support::split_ws(line, words);
     if (words.size() == 6 && words[0] == "$var") {
-      EXPECT_TRUE(codes.insert(words[3]).second) << "duplicate code " << words[3];
+      EXPECT_TRUE(codes.insert(std::string(words[3])).second) << "duplicate code " << words[3];
     }
   }
   EXPECT_EQ(codes.size(), 121u);
