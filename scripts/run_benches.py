@@ -11,8 +11,16 @@ registry snapshot (counters / gauges / histograms). This harness:
    so the whole sweep finishes in seconds);
 3. writes one ``BENCH_<name>.json`` blob per binary into the repo root
    (the blobs are checked in: EXPERIMENTS.md cites them);
-4. with ``--check-scaling``, gates on the parallel-checkout bench: the
-   8-worker cold-cache speedup must reach the scaling threshold;
+4. gates the parallel-checkout bench two ways. ``--check-fanout``
+   holds on every core count: each workers=2/4/8 row of every mode
+   must take at most ``MAX_FANOUT_SLOWDOWN`` (1.1x) its
+   workers=1 time -- a fan-out that costs more than it overlaps is a
+   regression, however many cores the host has. ``--check-scaling``
+   gates the only leg with physical work, ``cold_nocow`` (the
+   ``cow_extents=false`` ablation): its 8-worker speedup must reach
+   the core-aware scaling threshold below. Under COW every export is a
+   refcount bump, so the COW rows run inline and are gated only by
+   ``--check-fanout``;
 5. with ``--check-cow-speedup``, gates on the s3.6 bench's COW section:
    the cold ``copy_file`` batch at the largest payload must beat the
    ``cow_extents=false`` ablation by ``--min-cow-speedup`` (default
@@ -59,11 +67,13 @@ Every blob additionally carries an ``executor`` section -- the
 (docs/executor.md) -- so scheduler behaviour (steals, task counts,
 queue depth) is diffable across checked-in BENCH_*.json revisions.
 
-The threshold is core-aware: demanding 2x from a single-core container
-is physics, not a regression, so the effective bar is
-``min(--min-scaling, 0.5 * cores)``. On >= 4 cores that is the full
---min-scaling; on 1 core it degrades to 0.5x, which still catches a
-true serialization bug (worker fan-out that *slows down* checkout).
+The scaling threshold is core-aware: demanding 2x from a single-core
+container is physics, not a regression, so the effective bar is
+``min(--min-scaling, 0.5 * cores)``, where ``cores`` is the CPUs the
+bench process may run on (its affinity mask). On >= 4 cores that is
+the full --min-scaling; on 1 core it degrades to 0.5x. The fan-out bar
+needs no such floor: an extra lane that does not pay must not be
+started.
 
 Exit status 0 = all benches ran (and the gate passed); 1 otherwise.
 stdlib only.
@@ -84,7 +94,7 @@ CHECKOUT_RE = re.compile(
     r"\s+bytes=(\d+)\s+speedup=([\d.]+)\s*$")
 META_RE = re.compile(
     r"^JFM_PARALLEL_CHECKOUT_META\s+cores=(\d+)\s+dovs=(\d+)"
-    r"\s+payload_bytes=(\d+)\s+exclusive8_cold_us=(\d+)\s*$")
+    r"\s+payload_bytes=(\d+)\s*$")
 OMS_QUERY_RE = re.compile(
     r"^JFM_OMS_QUERY\s+size=(\d+)\s+mode=(\w+)\s+op=(\w+)\s+ns_per_op=(\d+)\s*$")
 OMS_QUERY_META_RE = re.compile(
@@ -175,7 +185,6 @@ def parse_output(text):
                 "cores": int(m.group(1)),
                 "dovs": int(m.group(2)),
                 "payload_bytes": int(m.group(3)),
-                "exclusive8_cold_us": int(m.group(4)),
             }
             continue
         m = OMS_QUERY_RE.match(line)
@@ -275,6 +284,11 @@ def parse_output(text):
             cow_rows, cow_meta, incr_rows, incr_meta, wal_rows, wal_meta)
 
 
+# --check-fanout's bar: a workers=N parallel-checkout row may take at
+# most this multiple of its mode's workers=1 time, on any core count.
+MAX_FANOUT_SLOWDOWN = 1.1
+
+
 def scaling_threshold(min_scaling, cores):
     return min(min_scaling, 0.5 * max(1, cores))
 
@@ -285,10 +299,15 @@ def main():
                         help="CMake build directory (default: build)")
     parser.add_argument("--quick", action="store_true",
                         help="skip google-benchmark micro-timings")
+    parser.add_argument("--check-fanout", action="store_true",
+                        help="fail if any workers=2/4/8 parallel-checkout row takes more "
+                             f"than {MAX_FANOUT_SLOWDOWN}x its mode's workers=1 time")
     parser.add_argument("--check-scaling", action="store_true",
-                        help="fail unless 8-worker cold checkout reaches the scaling bar")
+                        help="fail unless the 8-worker cold_nocow checkout reaches the "
+                             "scaling bar")
     parser.add_argument("--min-scaling", type=float, default=2.0,
-                        help="required 8-worker cold speedup on >=4 cores (default: 2.0)")
+                        help="required 8-worker cold_nocow speedup on >=4 cores "
+                             "(default: 2.0)")
     parser.add_argument("--check-index-speedup", action="store_true",
                         help="fail unless indexed find_one at 100k objects beats the "
                              "indexes_off ablation by --min-index-speedup")
@@ -397,6 +416,30 @@ def main():
             fh.write("\n")
         print(f"run_benches: {name} ok -> {os.path.relpath(out, REPO)}")
 
+    if args.check_fanout:
+        if not checkout_rows:
+            failures.append("fan-out gate: no JFM_PARALLEL_CHECKOUT output found")
+        else:
+            base = {r["mode"]: r["wall_us"] for r in checkout_rows if r["workers"] == 1}
+            worst = None
+            for row in checkout_rows:
+                if row["workers"] == 1 or row["mode"] not in base:
+                    continue
+                ratio = row["wall_us"] / max(1, base[row["mode"]])
+                if worst is None or ratio > worst[0]:
+                    worst = (ratio, row)
+                if ratio > MAX_FANOUT_SLOWDOWN:
+                    failures.append(
+                        f"fan-out gate: {row['mode']} workers={row['workers']} "
+                        f"{row['wall_us']} us is {ratio:.2f}x its workers=1 time "
+                        f"{base[row['mode']]} us (allowed {MAX_FANOUT_SLOWDOWN:.2f}x)")
+            if worst is None:
+                failures.append("fan-out gate: no workers=2/4/8 rows to compare")
+            elif worst[0] <= MAX_FANOUT_SLOWDOWN:
+                print(f"run_benches: fan-out gate ok (worst {worst[1]['mode']} "
+                      f"workers={worst[1]['workers']} at {worst[0]:.2f}x its workers=1 "
+                      f"time <= {MAX_FANOUT_SLOWDOWN:.2f}x)")
+
     if args.check_scaling:
         if not checkout_rows:
             failures.append("scaling gate: no JFM_PARALLEL_CHECKOUT output found")
@@ -404,16 +447,16 @@ def main():
             cores = checkout_meta["cores"] if checkout_meta else 1
             bar = scaling_threshold(args.min_scaling, cores)
             cold8 = [r for r in checkout_rows
-                     if r["workers"] == 8 and r["mode"] == "cold"]
+                     if r["workers"] == 8 and r["mode"] == "cold_nocow"]
             if not cold8:
-                failures.append("scaling gate: no workers=8 cold run")
+                failures.append("scaling gate: no workers=8 cold_nocow run")
             elif cold8[0]["speedup"] < bar:
                 failures.append(
-                    f"scaling gate: 8-worker cold speedup {cold8[0]['speedup']:.2f}x "
-                    f"< required {bar:.2f}x (cores={cores})")
+                    f"scaling gate: 8-worker cold_nocow speedup "
+                    f"{cold8[0]['speedup']:.2f}x < required {bar:.2f}x (cores={cores})")
             else:
-                print(f"run_benches: scaling gate ok "
-                      f"({cold8[0]['speedup']:.2f}x >= {bar:.2f}x on {cores} cores)")
+                print(f"run_benches: scaling gate ok (cold_nocow "
+                      f"{cold8[0]['speedup']:.2f}x >= {bar:.2f}x on {cores} cores)")
 
     if args.check_index_speedup:
         if not oms_query_rows:

@@ -207,9 +207,13 @@ class HybridFramework {
 
   /// Batched checkout of a whole CompOf hierarchy: every view of
   /// `root_cell` and its transitive children is exported into
-  /// `dst_dir/<cell>_<view>` through TransferEngine::export_batch's
-  /// worker pool -- one call instead of one desktop round-trip per
-  /// cellview.
+  /// `dst_dir/<cell>_<view>` through one TransferEngine::export_batch
+  /// call -- one call instead of one desktop round-trip per cellview.
+  /// `workers` only caps the batch's lanes: export_batch sizes them
+  /// from the bytes the exports physically duplicate, never beyond the
+  /// CPUs the process may run on, so under COW extents (the default) a
+  /// checkout runs inline on the caller and never touches the executor.
+  /// The journal capture always runs inline.
   ///
   /// The checkout is ALL-OR-NOTHING (docs/fault-injection.md): before
   /// any byte moves, a two-phase journal captures the pre-image of
@@ -245,8 +249,9 @@ class HybridFramework {
   /// request list is built from DOVs changed since the workspace's
   /// cursor, unchanged cellviews are skipped before any lock or cache
   /// probe, and the first sync / a hierarchy-shape change / a restore
-  /// fall back to the full walk. Materialized files are bit-identical
-  /// to the full walk either way.
+  /// fall back to the full walk. Such a sync costs O(delta log n) in
+  /// the n cellviews the cursor knows: the cursor is never copied.
+  /// Materialized files are bit-identical to the full walk either way.
   support::Result<CheckoutReport> checkout_hierarchy(const std::string& project,
                                                      const std::string& root_cell,
                                                      jcf::UserRef user, const vfs::Path& dst_dir,
@@ -268,7 +273,7 @@ class HybridFramework {
     std::uint64_t epoch = 0;            ///< store epoch of the last successful sync
     std::uint64_t structure_epoch = 0;  ///< hierarchy shape at that sync
     std::size_t cells = 0;              ///< cells enumerated by the last full walk
-    std::set<std::string> known;        ///< "cell/view" labels materialized in dst
+    std::set<std::string, std::less<>> known;  ///< "cell/view" labels materialized in dst
     std::uint64_t syncs = 0;            ///< successful syncs through this cursor
     std::uint64_t incremental_syncs = 0;
     std::uint64_t last_feed = 0;     ///< feed rows consumed by the last sync

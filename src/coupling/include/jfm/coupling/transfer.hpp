@@ -25,18 +25,13 @@
 // Thread-safety (docs/concurrency.md): the engine carries a reader-
 // writer lock. Read-only export paths (export_dov / export_batch,
 // including cache probes and staging traffic through per-operation
-// staging files) take SHARED access and run genuinely concurrently --
-// the FileSystem and the OMS store underneath carry their own reader
-// locks, so an 8-worker checkout scales with the hardware instead of
-// funneling through one mutex. import_file takes EXCLUSIVE access:
-// while an import publishes a new version, no export is in flight on
-// this engine. All transfer counters are atomics, so stats_snapshot()
-// is always safe, torn-value free, and never blocks the data path.
-// Lock order: engine lock before cache_mu_, never the reverse.
-//
-// exclusive_transfers = true restores the pre-reader-writer behaviour
-// (every transfer takes the exclusive lock) and exists as the
-// serialization ablation for bench_parallel_checkout.
+// staging files) take SHARED access and may run concurrently -- the
+// FileSystem and the OMS store underneath carry their own reader
+// locks. import_file takes EXCLUSIVE access: while an import publishes
+// a new version, no export is in flight on this engine. All transfer
+// counters are atomics, so stats_snapshot() is always safe, torn-value
+// free, and never blocks the data path. Lock order: engine lock before
+// cache_mu_, never the reverse.
 
 #include <atomic>
 #include <chrono>
@@ -101,9 +96,6 @@ struct TransferOptions {
   bool copy_through_filesystem = true;   ///< paper behaviour (s2.1)
   bool content_addressed_cache = false;  ///< skip re-exports of unchanged DOVs
   std::size_t cache_capacity = 128;      ///< max cached (dov, dst) entries
-  /// Serialization ablation: exports take the exclusive lock as they
-  /// did before the reader-writer split. Only benches should set this.
-  bool exclusive_transfers = false;
   /// Per-item retry discipline (applies to export_dov / export_batch).
   RetryPolicy retry;
 };
@@ -118,8 +110,6 @@ struct ExportRequest {
 class TransferEngine {
  public:
   TransferEngine(jcf::JcfFramework* jcf, vfs::FileSystem* fs, vfs::Path transfer_dir,
-                 bool copy_through_filesystem);
-  TransferEngine(jcf::JcfFramework* jcf, vfs::FileSystem* fs, vfs::Path transfer_dir,
                  TransferOptions options);
   ~TransferEngine();
   TransferEngine(const TransferEngine&) = delete;
@@ -131,11 +121,16 @@ class TransferEngine {
   /// parallel, imports exclude them.
   support::Status export_dov(jcf::DovRef dov, jcf::UserRef reader, const vfs::Path& dst);
 
-  /// Batched export: fan `items` out across a small worker pool and
-  /// return one Status per item (same order). The desktop/hybrid layer
-  /// uses this to check out a whole hierarchy in one call. Workers
-  /// share the engine's reader lock, so throughput scales with cores
-  /// until the file system's short exclusive publish sections dominate.
+  /// Batched export: return one Status per item (same order). The
+  /// desktop/hybrid layer uses this to check out a whole hierarchy in
+  /// one call. Lanes are sized from the batch's physical work -- what
+  /// the exports would add to bytes_exported_physical: nothing for a
+  /// cache hit, the payload for a direct export, twice that staged --
+  /// at one lane per kMinBytesPerLane, capped by `workers`, the item
+  /// count and Executor::usable_cpus(). A batch that duplicates nothing
+  /// (every batch under COW extents) runs inline on the caller and never
+  /// touches the executor; extra lanes run on the shared executor under
+  /// the engine's reader lock.
   /// `timeout_us` > 0 arms a per-batch deadline: items (and retries)
   /// that would start after it fail with Errc::timeout instead; already
   /// running attempts are never interrupted mid-copy, so a timed-out
@@ -143,6 +138,11 @@ class TransferEngine {
   std::vector<support::Status> export_batch(std::span<const ExportRequest> items,
                                             std::size_t workers = 4,
                                             std::uint64_t timeout_us = 0);
+  /// Physical bytes one export_batch lane must carry before the batch
+  /// adds another: below this, handing work to an executor lane costs
+  /// more than the copy it would overlap (set from bench_parallel_checkout's
+  /// cold_nocow leg, docs/executor.md).
+  static constexpr std::uint64_t kMinBytesPerLane = 1 << 20;
 
   /// True when (dov, dst) is cached AND dst still holds exactly the
   /// bytes an export of `dov` would produce (verified via the memoized
@@ -195,6 +195,11 @@ class TransferEngine {
   };
 
   vfs::Path staging_file(const std::string& tag);
+  /// How many times one transfer physically duplicates its payload:
+  /// 0 when the file system shares extents, 2 when staged through the
+  /// transfer dir, else 1. The factor behind the *_physical counters
+  /// and export_batch's lane sizing.
+  std::uint64_t physical_copies() const noexcept;
   /// One attempt: lock acquisition, fault hook, export_shared.
   support::Status export_once(jcf::DovRef dov, jcf::UserRef reader, const vfs::Path& dst);
   /// The retry loop around export_once; `deadline_us` is the batch

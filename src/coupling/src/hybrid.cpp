@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
-#include <optional>
 #include <set>
+#include <string_view>
 
 #include <chrono>
 
 #include "jfm/coupling/resolvers.hpp"
-#include "jfm/support/executor.hpp"
 #include "jfm/support/strings.hpp"
 #include "jfm/support/telemetry.hpp"
 
@@ -875,19 +874,26 @@ Result<HybridFramework::CheckoutReport> HybridFramework::checkout_sync(
                                  std::to_string(user.id.raw()) + "|" + dst_dir.str();
   const std::uint64_t store_epoch_now = jcf_.store().epoch();
   const std::uint64_t structure_now = jcf_.structure_epoch();
-  std::optional<CheckoutCursor> cursor;
+  // Only the cursor's two epochs leave the lock; its `known` set stays
+  // put and is consulted in place when skips are counted below.
+  bool have_cursor = false;
+  std::uint64_t cursor_epoch = 0;
+  std::uint64_t cursor_structure = 0;
   {
     std::lock_guard<std::mutex> lock(cursors_mu_);
-    if (auto it = cursors_.find(cursor_key); it != cursors_.end()) cursor = it->second;
+    if (auto it = cursors_.find(cursor_key); it != cursors_.end()) {
+      have_cursor = true;
+      cursor_epoch = it->second.epoch;
+      cursor_structure = it->second.structure_epoch;
+    }
   }
   // Cursor invalidation (docs/incremental-checkout.md): fall back to
   // the full walk on the first sync, after any hierarchy-shape change,
   // and when the cursor claims an epoch the store has never reached (a
   // restore reset the epoch history).
-  const bool incremental = allow_incremental && config_.incremental_checkout &&
-                           cursor.has_value() &&
-                           cursor->structure_epoch == structure_now &&
-                           cursor->epoch <= store_epoch_now;
+  const bool incremental = allow_incremental && config_.incremental_checkout && have_cursor &&
+                           cursor_structure == structure_now &&
+                           cursor_epoch <= store_epoch_now;
 
   std::vector<ExportRequest> requests;
   std::vector<std::string> labels;
@@ -898,7 +904,7 @@ Result<HybridFramework::CheckoutReport> HybridFramework::checkout_sync(
     // no project->cell->version->DOV walk, no per-cellview lock or
     // cache probe for unchanged subtrees.
     JFM_SPAN("coupling", "checkout_delta");
-    const auto feed = jcf_.dovs_changed_since(cursor->epoch);
+    const auto feed = jcf_.dovs_changed_since(cursor_epoch);
     report.feed_size = feed.size();
     // Membership in the root's CompOf closure, resolved UPWARD from
     // the changed cell with memoization: the downward walk visits a
@@ -965,10 +971,18 @@ Result<HybridFramework::CheckoutReport> HybridFramework::checkout_sync(
     }
     report.cells = delta_cells.size();
     // Everything the cursor knows about and the delta does not touch
-    // is skipped outright -- before any lock or cache probe.
-    for (const auto& known : cursor->known) {
-      if (std::find(labels.begin(), labels.end(), known) == labels.end()) ++report.skipped;
+    // is skipped outright -- before any lock or cache probe. Counted as
+    // |known| - |known ∩ delta| with one lookup per distinct delta
+    // label: O(delta log n), no pass over `known`. Cursors are never
+    // erased, so the entry found above is still there.
+    const std::set<std::string_view> delta_labels(labels.begin(), labels.end());
+    std::lock_guard<std::mutex> lock(cursors_mu_);
+    const auto& known = cursors_.at(cursor_key).known;
+    std::size_t known_in_delta = 0;
+    for (const auto label : delta_labels) {
+      if (known.find(label) != known.end()) ++known_in_delta;
     }
+    report.skipped = known.size() - known_in_delta;
   } else {
     // Full walk: collect the CompOf closure -- root cell + transitive
     // children, each cell once (diamonds are legal in the hierarchy).
@@ -1051,50 +1065,17 @@ Result<HybridFramework::CheckoutReport> HybridFramework::checkout_sync(
   std::vector<JournalEntry> journal;
   {
     JFM_SPAN("coupling", "checkout_journal");
-    // Captures are pure reads (peek / exists / extent pin), so with
-    // workers > 1 they fan out on the shared executor. Per-index slots
-    // compacted in request order keep the journal -- and therefore the
-    // rollback replay -- byte-identical to the sequential capture.
-    auto capture = [&](const ExportRequest& req,
-                       std::optional<JournalEntry>& slot) -> Status {
-      if (transfer_->peek_cached(req.dov, req.dst)) return {};
+    // Captures are pure reads (peek / exists / extent pin) that move no
+    // payload bytes, so they run inline: no batch is worth a lane hop.
+    for (const auto& req : requests) {
+      if (transfer_->peek_cached(req.dov, req.dst)) continue;
       JournalEntry entry{req.dst, fs_.exists(req.dst), {}};
       if (entry.existed) {
         auto pre = fs_.read_extent(req.dst);
-        if (!pre.ok()) return Status(pre.error());
+        if (!pre.ok()) return forward_error<CheckoutReport>(pre.error());
         entry.pre_image = std::move(*pre);
       }
-      slot = std::move(entry);
-      return {};
-    };
-    std::vector<std::optional<JournalEntry>> slots(requests.size());
-    if (workers <= 1) {
-      for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (auto st = capture(requests[i], slots[i]); !st.ok()) {
-          return forward_error<CheckoutReport>(st.error());
-        }
-      }
-    } else {
-      std::mutex err_mu;
-      std::size_t err_index = requests.size();
-      std::optional<support::Error> first_error;
-      support::executor::Executor::global().parallel_for(
-          requests.size(), workers, [&](std::size_t i) {
-            if (auto st = capture(requests[i], slots[i]); !st.ok()) {
-              std::lock_guard<std::mutex> lock(err_mu);
-              // Keep the lowest-index failure so the reported error does
-              // not depend on lane interleaving.
-              if (i < err_index) {
-                err_index = i;
-                first_error = st.error();
-              }
-            }
-          });
-      if (first_error) return forward_error<CheckoutReport>(*first_error);
-    }
-    journal.reserve(slots.size());
-    for (auto& slot : slots) {
-      if (slot) journal.push_back(std::move(*slot));
+      journal.push_back(std::move(entry));
     }
   }
 
@@ -1164,7 +1145,7 @@ Result<HybridFramework::CheckoutReport> HybridFramework::checkout_sync(
       cur.known.insert(labels.begin(), labels.end());
       ++cur.incremental_syncs;
     } else {
-      cur.known = std::set<std::string>(labels.begin(), labels.end());
+      cur.known = decltype(cur.known)(labels.begin(), labels.end());
       cur.cells = report.cells;
     }
     ++cur.syncs;

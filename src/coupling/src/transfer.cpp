@@ -57,11 +57,6 @@ bool retryable(Errc code) noexcept {
 }  // namespace
 
 TransferEngine::TransferEngine(jcf::JcfFramework* jcf, vfs::FileSystem* fs,
-                               vfs::Path transfer_dir, bool copy_through_filesystem)
-    : TransferEngine(jcf, fs, std::move(transfer_dir),
-                     TransferOptions{.copy_through_filesystem = copy_through_filesystem}) {}
-
-TransferEngine::TransferEngine(jcf::JcfFramework* jcf, vfs::FileSystem* fs,
                                vfs::Path transfer_dir, TransferOptions options)
     : jcf_(jcf), fs_(fs), transfer_dir_(std::move(transfer_dir)), options_(options) {
   (void)fs_->mkdirs(transfer_dir_);
@@ -80,6 +75,11 @@ vfs::Path TransferEngine::staging_file(const std::string& tag) {
   // files, so shared-lock workers never collide in the transfer dir.
   const std::uint64_t n = stage_counter_.fetch_add(1, kRelaxed) + 1;
   return transfer_dir_.child(tag + "_" + std::to_string(n) + ".xfer");
+}
+
+std::uint64_t TransferEngine::physical_copies() const noexcept {
+  if (fs_->options().cow_extents) return 0;
+  return options_.copy_through_filesystem ? 2 : 1;
 }
 
 void TransferEngine::invalidate_dobj(oms::ObjectId dobj) {
@@ -161,13 +161,7 @@ Status TransferEngine::export_once(jcf::DovRef dov, jcf::UserRef reader, const v
   // draws a fresh decision -- exactly how a flaky NFS mount behaves.
   if (auto f = support::faultsim::trip("transfer.export_item"); !f.ok()) return f;
   const auto started = std::chrono::steady_clock::now();
-  std::shared_lock shared(mu_, std::defer_lock);
-  std::unique_lock exclusive(mu_, std::defer_lock);
-  if (options_.exclusive_transfers) {
-    exclusive.lock();
-  } else {
-    shared.lock();
-  }
+  std::shared_lock shared(mu_);
   lock_wait_histogram().record(us_since(started));
   Status st = export_shared(dov, reader, dst);
   export_latency().record(us_since(started));
@@ -235,9 +229,7 @@ Status TransferEngine::export_shared(jcf::DovRef dov, jcf::UserRef reader,
     stats_.bytes_exported.fetch_add(size, kRelaxed);
     exports.add(1);
     export_bytes.add(size);
-    const std::uint64_t physical =
-        fs_->options().cow_extents ? 0
-                                   : (options_.copy_through_filesystem ? 2 * size : size);
+    const std::uint64_t physical = physical_copies() * size;
     if (cache_probe(dov, dst, fp->content_hash, size)) return {};  // dst already current
     // Miss: fetch the payload once, WITH its hash, and publish it
     // hash-seeded -- content_hash(dst) is O(1) from the very first
@@ -274,8 +266,7 @@ Status TransferEngine::export_shared(jcf::DovRef dov, jcf::UserRef reader,
   export_bytes.add(size);
   // Analytic physical mirror: staged transfers land the payload twice
   // (stage + destination), direct ones once, COW-shared ones never.
-  const std::uint64_t physical =
-      fs_->options().cow_extents ? 0 : (options_.copy_through_filesystem ? 2 * size : size);
+  const std::uint64_t physical = physical_copies() * size;
   Status st;
   if (options_.copy_through_filesystem) {
     // Stage in the transfer directory, then copy to the destination --
@@ -308,8 +299,33 @@ std::vector<Status> TransferEngine::export_batch(std::span<const ExportRequest> 
   const bool has_deadline = timeout_us > 0;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::microseconds(timeout_us);
-  const std::size_t pool = std::min(workers == 0 ? std::size_t{1} : workers, items.size());
-  if (pool == 1) {
+  // Lanes follow the physical work: one per kMinBytesPerLane of bytes
+  // the exports will duplicate, capped by `workers`, the item count and
+  // the CPUs this process may run on (more lanes than that only
+  // time-slice). The estimate mirrors what export_shared charges to
+  // bytes_exported_physical -- copies x size, nothing for a cache hit
+  // -- and stops once it reaches the cap. A cached item counts as a hit
+  // without re-verifying dst: a stale entry only costs the batch a lane
+  // it could have used. Under COW nothing is duplicated, and with a cap
+  // of one there is nothing to decide: such a batch runs inline without
+  // a per-item call.
+  const std::uint64_t copies = physical_copies();
+  std::size_t cap = std::min(std::max<std::size_t>(workers, 1), items.size());
+  if (copies > 0 && cap > 1) cap = std::min(cap, support::executor::Executor::usable_cpus());
+  std::size_t lanes = 1;
+  if (copies > 0 && cap > 1) {
+    std::uint64_t physical = 0;
+    for (std::size_t i = 0; i < items.size() && physical < cap * kMinBytesPerLane; ++i) {
+      if (options_.content_addressed_cache) {
+        std::lock_guard lock(cache_mu_);
+        if (cache_.contains(CacheKey(items[i].dov.id, items[i].dst.str()))) continue;
+      }
+      if (auto size = jcf_->dov_size(items[i].dov); size.ok()) physical += copies * *size;
+    }
+    const std::uint64_t wanted = (physical + kMinBytesPerLane - 1) / kMinBytesPerLane;
+    lanes = static_cast<std::size_t>(std::clamp<std::uint64_t>(wanted, 1, cap));
+  }
+  if (lanes <= 1) {
     for (std::size_t i = 0; i < items.size(); ++i) {
       results[i] =
           export_with_retry(items[i].dov, items[i].reader, items[i].dst, deadline, has_deadline);
@@ -333,13 +349,12 @@ std::vector<Status> TransferEngine::export_batch(std::span<const ExportRequest> 
           export_with_retry(items[i].dov, items[i].reader, items[i].dst, deadline, has_deadline);
     }
   };
-  // `pool` (the workers knob, preserved for the ablation) caps the
-  // LOGICAL lane count; the executor's size caps real parallelism.
-  // run_lanes executes one lane on this thread and helps until the
-  // submitted lanes finish, so a saturated pool can never deadlock
-  // and per-item fault decisions stay interleaving-invariant
+  // `lanes` is the LOGICAL lane count; the executor's size caps real
+  // parallelism. run_lanes executes one lane on this thread and helps
+  // until the submitted lanes finish, so a saturated pool can never
+  // deadlock and per-item fault decisions stay interleaving-invariant
   // (docs/fault-injection.md).
-  support::executor::Executor::global().run_lanes(pool, lane_body);
+  support::executor::Executor::global().run_lanes(lanes, lane_body);
   return results;
 }
 
@@ -347,7 +362,9 @@ bool TransferEngine::peek_cached(jcf::DovRef dov, const vfs::Path& dst) const {
   // Side-effect free probe: no counters, no LRU touch, no eviction.
   // The checkout journal uses this to decide whether an export could
   // possibly change dst; a stale answer is safe (it only means a
-  // pre-image gets captured that turns out unnecessary).
+  // pre-image gets captured that turns out unnecessary). With the
+  // cache off nothing is ever stored, so skip the lock and the key.
+  if (!options_.content_addressed_cache) return false;
   std::uint64_t expected = 0;
   {
     std::lock_guard lock(cache_mu_);
@@ -408,16 +425,16 @@ Result<jcf::DovRef> TransferEngine::import_file(const vfs::Path& src,
     payload = std::make_shared<const std::string>(std::move(*data));
   }
   const std::uint64_t size = payload->size();
+  const std::uint64_t physical = physical_copies() * size;
   stats_.imports.fetch_add(1, kRelaxed);
   stats_.bytes_imported.fetch_add(size, kRelaxed);
-  stats_.bytes_imported_physical.fetch_add(
-      cow ? 0 : (options_.copy_through_filesystem ? 2 * size : size), kRelaxed);
+  stats_.bytes_imported_physical.fetch_add(physical, kRelaxed);
   static auto& imports = xfer_counter("import.count");
   static auto& import_bytes = xfer_counter("import.bytes");
   static auto& import_physical = xfer_counter("import.physical.bytes");
   imports.add(1);
   import_bytes.add(size);
-  import_physical.add(cow ? 0 : (options_.copy_through_filesystem ? 2 * size : size));
+  import_physical.add(physical);
   // create_dov fires the version-change listeners, which invalidate the
   // superseded cache entries (ours and any sibling engine's).
   return jcf_->create_dov(dobj, std::move(payload), writer);

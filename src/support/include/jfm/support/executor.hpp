@@ -100,6 +100,12 @@ class Executor {
   /// max(hardware_concurrency, 8).
   static std::size_t default_worker_count();
 
+  /// CPUs this process may run on: the size of its affinity mask where
+  /// the platform has one (taskset and cpuset limits shrink it), else
+  /// hardware_concurrency; at least 1. Lanes beyond this count only
+  /// time-slice, so callers sizing lanes for throughput cap at it.
+  static std::size_t usable_cpus();
+
   std::size_t workers() const noexcept { return lanes_.size(); }
   /// Whether worker threads have been spawned yet (they start on the
   /// first submit, never at construction).
@@ -120,13 +126,6 @@ class Executor {
   /// handle. lanes <= 1 runs body inline with no pool interaction --
   /// the determinism anchor for workers=1 ablations.
   void run_lanes(std::size_t lanes, const std::function<void()>& body);
-
-  /// Self-scheduling loop over [0, n): up to `parallelism` lanes pull
-  /// indices from a shared atomic cursor. Item order across lanes is
-  /// nondeterministic; callers needing deterministic placement write
-  /// into per-index slots.
-  void parallel_for(std::size_t n, std::size_t parallelism,
-                    const std::function<void(std::size_t)>& fn);
 
  private:
   struct Lane {

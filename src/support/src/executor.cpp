@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cstdlib>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace jfm::support::executor {
 namespace {
 
@@ -68,6 +72,17 @@ std::size_t Executor::default_worker_count() {
   }
   const std::size_t hw = std::thread::hardware_concurrency();
   return std::max<std::size_t>(hw, 8);
+}
+
+std::size_t Executor::usable_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    return std::max<std::size_t>(1, static_cast<std::size_t>(CPU_COUNT(&set)));
+  }
+#endif
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
 void Executor::ensure_started() {
@@ -189,19 +204,6 @@ void Executor::run_lanes(std::size_t lanes, const std::function<void()>& body) {
   }
   body();  // the calling thread is always one of the lanes
   for (const auto& h : handles) help_until(h);
-}
-
-void Executor::parallel_for(std::size_t n, std::size_t parallelism,
-                            const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t lanes = std::min(parallelism == 0 ? 1 : parallelism, n);
-  std::atomic<std::size_t> next{0};
-  run_lanes(lanes, [&] {
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      fn(i);
-    }
-  });
 }
 
 }  // namespace jfm::support::executor

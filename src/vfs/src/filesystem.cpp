@@ -548,6 +548,11 @@ Result<FileStat> FileSystem::stat(const Path& path) const {
 }
 
 Status FileSystem::remove(const Path& path, bool recursive) {
+  // Declared before the lock, so the detached subtree -- and any payload
+  // buffer only it still owned -- is freed after the tree lock is
+  // released: handing a large buffer back to the allocator must not
+  // stall every other reader and writer of the tree.
+  std::unique_ptr<Node> detached;
   std::unique_lock lock(mu_);
   if (path.is_root()) return support::fail(Errc::invalid_argument, "cannot remove /");
   Node* parent = find(path.parent());
@@ -558,6 +563,7 @@ Status FileSystem::remove(const Path& path, bool recursive) {
     return support::fail(Errc::invalid_argument, path.str() + " is a non-empty directory");
   }
   used_bytes_.fetch_sub(subtree_bytes(*it->second), kRelaxed);
+  detached = std::move(it->second);
   parent->children.erase(it);
   return {};
 }
@@ -569,10 +575,11 @@ Status FileSystem::copy_file(const Path& src, const Path& dst) {
   // size and its memoized hash. The source's hash memo rides along when
   // it is already valid. Both COW modes count the same *logical*
   // traffic: one read + one copy of the payload. Caller must hold the
-  // source's shard (shared is enough).
+  // source's shard (shared is enough). Either way the extent is only
+  // pinned here; the ablation's duplicate is made after every lock is
+  // released (below).
   Extent payload;
   std::optional<std::uint64_t> src_hash;
-  bool physical = false;
   const auto read_source = [&](const Node& from) {
     const std::uint64_t size = from.payload().size();
     counters_.bytes_read.fetch_add(size, kRelaxed);
@@ -581,19 +588,15 @@ Status FileSystem::copy_file(const Path& src, const Path& dst) {
     read_bytes_counter().add(size);
     copy_bytes_counter().add(size);
     copy_files_counter().add(1);
+    payload = from.data;
     if (options_.cow_extents) {
       // O(1): the destination will share this buffer. Zero physical
       // bytes move; record what a physical copy would have cost.
-      payload = from.data;
       cow_.shared_copies.fetch_add(1, kRelaxed);
       cow_.bytes_saved.fetch_add(size, kRelaxed);
       cow_shared_counter().add(1);
       cow_saved_bytes_counter().add(size);
     } else {
-      // Paper-faithful ablation: real byte movement, still under
-      // shared-mode locks so any exclusive publish stays O(1).
-      payload = make_extent(std::string(from.payload()));
-      physical = true;
       counters_.bytes_physical_copied.fetch_add(size, kRelaxed);
       physical_copy_bytes_counter().add(size);
     }
@@ -610,7 +613,7 @@ Status FileSystem::copy_file(const Path& src, const Path& dst) {
     if (to != nullptr && to->dir) {
       return support::fail(Errc::invalid_argument, dst.str() + " is a directory");
     }
-    if (to != nullptr) {
+    if (to != nullptr && options_.cow_extents) {
       // Fast path: both endpoints exist, so the whole copy runs under
       // the SHARED tree lock with the two payload shards taken in
       // ascending index order (src shared, dst exclusive) -- the
@@ -631,17 +634,25 @@ Status FileSystem::copy_file(const Path& src, const Path& dst) {
         src_shard = std::shared_lock(shards_[si].mu);
       }
       read_source(*from);
-      return overwrite_locked(*to, std::move(payload), src_hash, physical);
+      return overwrite_locked(*to, std::move(payload), src_hash, /*physical=*/false);
     }
-    // Destination does not exist yet: read the source under its shard,
-    // then create under the exclusive tree lock below.
+    // Otherwise pin the source under its shard and publish below.
     std::shared_lock shard(shard_of(*from).mu);
     read_source(*from);
   }
-  // Creation phase (exclusive): O(1) in the payload size in both modes
-  // -- under COW even the read phase was O(1).
+  if (!options_.cow_extents) {
+    // Paper-faithful ablation: real byte movement, done while no lock is
+    // held -- the pinned extent is immutable -- so a payload-sized copy
+    // (and the page faults of its fresh buffer) never stalls other
+    // files' readers or a creator waiting for the tree lock. The
+    // publish then overwrites or creates dst like any other write.
+    return publish_extent(dst, make_extent(std::string(*payload)), src_hash,
+                          /*physical=*/true);
+  }
+  // Creation phase (exclusive): O(1) -- the destination shares the
+  // source's buffer.
   std::unique_lock lock(mu_);
-  return write_extent_locked(dst, std::move(payload), src_hash, physical);
+  return write_extent_locked(dst, std::move(payload), src_hash, /*physical=*/false);
 }
 
 Status FileSystem::copy_tree_into(const Node& src, Node& dst_parent, const std::string& name) {

@@ -15,7 +15,9 @@
 
 #include "jfm/coupling/hybrid.hpp"
 #include "jfm/oms/store.hpp"
+#include "jfm/support/executor.hpp"
 #include "jfm/support/faultsim.hpp"
+#include "jfm/support/telemetry.hpp"
 #include "test_seed.hpp"
 
 namespace jfm::coupling {
@@ -57,19 +59,28 @@ class FaultRecoveryTest : public ::testing::Test {
 
   /// A three-cell hierarchy (top -> {alu, regfile}) with populated
   /// schematics, built with the injector DISARMED so every world is
-  /// identical before the experiment starts.
-  void build_world(bool cache_on = true) {
+  /// identical before the experiment starts. cow=false selects the
+  /// physical-copy ablation and pads each schematic with one
+  /// kMinBytesPerLane/2-byte net name, so a three-item checkout
+  /// duplicates enough bytes for export_batch to fan out.
+  void build_world(bool cache_on = true, bool cow = true) {
     faultsim::Injector::global().disarm();
     HybridConfig config;
     config.content_addressed_cache = cache_on;
+    config.cow_extents = cow;
     hybrid = std::make_unique<HybridFramework>(config);
     ASSERT_TRUE(hybrid->bootstrap().ok());
     alice = *hybrid->add_designer("alice");
     ASSERT_TRUE(hybrid->create_project("p").ok());
+    auto schematic = tiny_schematic();
+    if (!cow) {
+      schematic.push_back(
+          {"add-net", {std::string(TransferEngine::kMinBytesPerLane / 2, 'n')}});
+    }
     for (const char* cell : {"top", "alu", "regfile"}) {
       ASSERT_TRUE(hybrid->create_cell("p", cell, alice).ok());
       ASSERT_TRUE(hybrid->reserve_cell("p", cell, alice).ok());
-      auto run = hybrid->run_activity("p", cell, "enter_schematic", alice, tiny_schematic());
+      auto run = hybrid->run_activity("p", cell, "enter_schematic", alice, schematic);
       ASSERT_TRUE(run.ok()) << run.error().to_text();
     }
     ASSERT_TRUE(hybrid->declare_child("p", "top", "alu").ok());
@@ -80,6 +91,24 @@ class FaultRecoveryTest : public ::testing::Test {
     auto plan = faultsim::parse_plan(plan_text);
     ASSERT_TRUE(plan.ok()) << plan.error().to_text();
     faultsim::Injector::global().arm(std::move(*plan));
+  }
+
+  /// Executor tasks submitted so far (process-wide counter).
+  static std::uint64_t executor_tasks() {
+    return support::telemetry::Registry::global()
+        .counter("executor.task.submitted.count")
+        .value();
+  }
+
+  /// A padded cow_extents=false checkout with workers > 1 fans out
+  /// wherever the process may use more than one CPU: export_batch caps
+  /// its lanes at that count, so on one CPU it stays inline.
+  static void expect_fanned_out(std::uint64_t tasks) {
+    if (support::executor::Executor::usable_cpus() > 1) {
+      EXPECT_GT(tasks, 0u);
+    } else {
+      EXPECT_EQ(tasks, 0u);
+    }
   }
 
   std::unique_ptr<HybridFramework> hybrid;
@@ -264,102 +293,154 @@ TEST_F(FaultRecoveryTest, OmsCommitFaultLeavesTransactionAbortable) {
 // the value is the data-race coverage of retry/rollback under load.
 
 TEST_F(FaultRecoveryTest, ParallelCheckoutStormUnderInjectedFaults) {
-  build_world();
-  auto& fs = hybrid->fs();
-  auto oracle_dst = vfs::Path().child("scratch").child("storm_oracle");
-  auto oracle = hybrid->checkout_hierarchy("p", "top", alice, oracle_dst);
-  ASSERT_TRUE(oracle.ok());
-  const auto want = tree_contents(fs, oracle_dst);
+  // Under COW every checkout runs inline; the padded cow_extents=false
+  // leg drives the same storm through executor lanes.
+  for (const bool cow : {true, false}) {
+    SCOPED_TRACE(cow ? "cow_extents=true" : "cow_extents=false");
+    build_world(/*cache_on=*/true, cow);
+    auto& fs = hybrid->fs();
+    auto oracle_dst = vfs::Path().child("scratch").child("storm_oracle");
+    auto oracle = hybrid->checkout_hierarchy("p", "top", alice, oracle_dst);
+    ASSERT_TRUE(oracle.ok());
+    const auto want = tree_contents(fs, oracle_dst);
 
-  arm("seed=7;transfer.export_item=0.15");
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 6;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    // Each worker checks out into its OWN destination directory --
-    // concurrent checkouts into one directory would race on the
-    // journal pre-images by design.
-    threads.emplace_back([this, t] {
-      auto dst = vfs::Path().child("scratch").child("storm" + std::to_string(t));
-      for (int round = 0; round < kRounds; ++round) {
-        auto report = hybrid->checkout_hierarchy("p", "top", alice, dst, /*workers=*/4);
-        if (report.ok() && !report->failures.empty()) {
-          // rolled-back attempt: the directory must be clean again
-          EXPECT_TRUE(report->rolled_back);
+    arm("seed=7;transfer.export_item=0.15");
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 6;
+    const std::uint64_t tasks_before = executor_tasks();
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      // Each worker checks out into its OWN destination directory --
+      // concurrent checkouts into one directory would race on the
+      // journal pre-images by design.
+      threads.emplace_back([this, t] {
+        auto dst = vfs::Path().child("scratch").child("storm" + std::to_string(t));
+        for (int round = 0; round < kRounds; ++round) {
+          auto report = hybrid->checkout_hierarchy("p", "top", alice, dst, /*workers=*/4);
+          if (report.ok() && !report->failures.empty()) {
+            // rolled-back attempt: the directory must be clean again
+            EXPECT_TRUE(report->rolled_back);
+          }
         }
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  faultsim::Injector::global().disarm();
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    faultsim::Injector::global().disarm();
+    if (!cow) expect_fanned_out(executor_tasks() - tasks_before);
 
-  // Converge every lane with one fault-free pass, then require the
-  // oracle tree everywhere: no torn or half-rolled-back state may
-  // survive the storm.
-  for (int t = 0; t < kThreads; ++t) {
-    auto dst = vfs::Path().child("scratch").child("storm" + std::to_string(t));
-    auto last = hybrid->checkout_hierarchy("p", "top", alice, dst);
-    ASSERT_TRUE(last.ok());
-    EXPECT_TRUE(last->failures.empty());
-    EXPECT_EQ(tree_contents(fs, dst), want) << "lane " << t;
+    // Converge every lane with one fault-free pass, then require the
+    // oracle tree everywhere: no torn or half-rolled-back state may
+    // survive the storm.
+    for (int t = 0; t < kThreads; ++t) {
+      auto dst = vfs::Path().child("scratch").child("storm" + std::to_string(t));
+      auto last = hybrid->checkout_hierarchy("p", "top", alice, dst);
+      ASSERT_TRUE(last.ok());
+      EXPECT_TRUE(last->failures.empty());
+      EXPECT_EQ(tree_contents(fs, dst), want) << "lane " << t;
+    }
+
+    if (!cow) {
+      // Retries rarely run out at 15%, so end with a checkout whose
+      // every attempt fails (3 items x 4 attempts): it must roll back
+      // to the pre-image while its lanes are in flight.
+      auto dst = vfs::Path().child("scratch").child("storm_rollback");
+      ASSERT_TRUE(fs.mkdirs(dst).ok());
+      ASSERT_TRUE(fs.write_file(dst.child("top_schematic"), "stale pre-image").ok());
+      const auto pre_state = tree_contents(fs, dst);
+      arm("transfer.export_item@1,2,3,4,5,6,7,8,9,10,11,12");
+      const std::uint64_t rollback_tasks_before = executor_tasks();
+      auto report = hybrid->checkout_hierarchy("p", "top", alice, dst, /*workers=*/4);
+      faultsim::Injector::global().disarm();
+      expect_fanned_out(executor_tasks() - rollback_tasks_before);
+      ASSERT_TRUE(report.ok()) << report.error().to_text();
+      EXPECT_EQ(report->failures.size(), 3u);
+      EXPECT_TRUE(report->rolled_back);
+      EXPECT_EQ(tree_contents(fs, dst), pre_state);
+    }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Executor parity: moving checkout lanes from per-call std::threads to
-// the shared work-stealing pool must change NOTHING observable.
+// Executor parity: running checkout lanes on the shared work-stealing
+// pool must change NOTHING observable.
 
 TEST_F(FaultRecoveryTest, CheckoutIsBitIdenticalAcrossWorkersAndExecutorLanes) {
-  // workers=1 runs inline on the caller (no pool at all); workers=8
-  // fans out on the shared executor. Identical worlds => identical
-  // trees, reports and transfer stats.
-  auto run = [this](std::size_t workers) {
-    build_world();
-    auto dst = vfs::Path().child("scratch").child("det");
-    auto report = hybrid->checkout_hierarchy("p", "top", alice, dst, workers);
-    EXPECT_TRUE(report.ok());
-    auto trees = tree_contents(hybrid->fs(), dst);
-    const auto stats = hybrid->transfer().stats_snapshot();
-    return std::make_tuple(trees, report.ok() ? report->exported : 0u,
-                           report.ok() ? report->cache_hits : 0u, stats.exports,
-                           stats.bytes_exported, stats.cache_hits, stats.cache_misses);
-  };
-  const auto serial = run(1);
-  const auto pooled = run(8);
-  EXPECT_EQ(serial, pooled);
-  EXPECT_EQ(std::get<0>(serial).size(), 3u);
+  // workers=1 runs inline on the caller (no pool at all). workers=8
+  // runs inline too under COW, and fans out on the shared executor in
+  // the cow_extents=false leg, whose padded exports cross the lane
+  // threshold. Identical worlds => identical trees, reports and stats.
+  for (const bool cow : {true, false}) {
+    SCOPED_TRACE(cow ? "cow_extents=true" : "cow_extents=false");
+    auto run = [this, cow](std::size_t workers) {
+      build_world(/*cache_on=*/true, cow);
+      auto dst = vfs::Path().child("scratch").child("det");
+      const std::uint64_t tasks_before = executor_tasks();
+      auto report = hybrid->checkout_hierarchy("p", "top", alice, dst, workers);
+      const std::uint64_t tasks = executor_tasks() - tasks_before;
+      EXPECT_TRUE(report.ok());
+      auto trees = tree_contents(hybrid->fs(), dst);
+      const auto stats = hybrid->transfer().stats_snapshot();
+      return std::make_pair(
+          std::make_tuple(trees, report.ok() ? report->exported : 0u,
+                          report.ok() ? report->cache_hits : 0u, stats.exports,
+                          stats.bytes_exported, stats.bytes_exported_physical,
+                          stats.cache_hits, stats.cache_misses),
+          tasks);
+    };
+    const auto [serial, serial_tasks] = run(1);
+    const auto [pooled, pooled_tasks] = run(8);
+    EXPECT_EQ(serial, pooled);
+    EXPECT_EQ(std::get<0>(serial).size(), 3u);
+    EXPECT_EQ(serial_tasks, 0u);
+    if (cow) {
+      EXPECT_EQ(pooled_tasks, 0u);
+    } else {
+      expect_fanned_out(pooled_tasks);
+    }
+  }
 }
 
 // Fault-injection parity on executor lanes: an armed plan draws the
 // SAME per-item decisions whether the items run inline (workers=1) or
-// on stolen executor lanes (workers=8), because ordinal sets key on
-// (seed, site, per-site ordinal) -- interleaving-invariant by design
-// (docs/fault-injection.md). This is the same property the pinned-seed
-// fault-matrix CI leg locks down end to end.
+// on stolen executor lanes (workers=8 in the cow_extents=false leg),
+// because ordinal sets key on (seed, site, per-site ordinal) --
+// interleaving-invariant by design (docs/fault-injection.md). This is
+// the same property the pinned-seed fault-matrix CI leg locks down end
+// to end.
 TEST_F(FaultRecoveryTest, InjectedFaultCountsMatchAcrossExecutorLanes) {
   // Explicit ordinals 1 and 2 fault. WHICH item draws them depends on
   // lane interleaving, but both faults land in the consumed ordinal
   // prefix and both retries succeed, so every aggregate -- injected
   // counts, retries, failures, bytes on disk -- is invariant.
-  auto run = [this](std::size_t workers) {
-    build_world();
-    arm("transfer.export_item@1,2");
-    auto dst = vfs::Path().child("scratch").child("parity");
-    auto report = hybrid->checkout_hierarchy("p", "top", alice, dst, workers);
-    const auto injected = faultsim::Injector::global().injected_by_site();
-    faultsim::Injector::global().disarm();
-    EXPECT_TRUE(report.ok());
-    EXPECT_TRUE(!report.ok() || report->failures.empty());
-    return std::make_tuple(injected, report.ok() ? report->retries : 0u,
-                           tree_contents(hybrid->fs(), dst));
-  };
-  const auto serial = run(1);
-  const auto pooled = run(8);
-  EXPECT_EQ(serial, pooled);
-  const auto& by_site = std::get<0>(serial);
-  ASSERT_EQ(by_site.size(), 1u);
-  EXPECT_EQ(by_site[0].first, "transfer.export_item");
-  EXPECT_EQ(by_site[0].second, 2u);
+  for (const bool cow : {true, false}) {
+    SCOPED_TRACE(cow ? "cow_extents=true" : "cow_extents=false");
+    auto run = [this, cow](std::size_t workers) {
+      build_world(/*cache_on=*/true, cow);
+      arm("transfer.export_item@1,2");
+      auto dst = vfs::Path().child("scratch").child("parity");
+      const std::uint64_t tasks_before = executor_tasks();
+      auto report = hybrid->checkout_hierarchy("p", "top", alice, dst, workers);
+      const std::uint64_t tasks = executor_tasks() - tasks_before;
+      const auto injected = faultsim::Injector::global().injected_by_site();
+      faultsim::Injector::global().disarm();
+      EXPECT_TRUE(report.ok());
+      EXPECT_TRUE(!report.ok() || report->failures.empty());
+      return std::make_pair(std::make_tuple(injected, report.ok() ? report->retries : 0u,
+                                            tree_contents(hybrid->fs(), dst)),
+                            tasks);
+    };
+    const auto [serial, serial_tasks] = run(1);
+    const auto [pooled, pooled_tasks] = run(8);
+    EXPECT_EQ(serial, pooled);
+    EXPECT_EQ(serial_tasks, 0u);
+    if (!cow) {
+      expect_fanned_out(pooled_tasks);
+    }
+    const auto& by_site = std::get<0>(serial);
+    ASSERT_EQ(by_site.size(), 1u);
+    EXPECT_EQ(by_site[0].first, "transfer.export_item");
+    EXPECT_EQ(by_site[0].second, 2u);
+  }
 }
 
 }  // namespace

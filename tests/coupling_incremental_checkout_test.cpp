@@ -13,11 +13,13 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "jfm/coupling/hybrid.hpp"
 #include "jfm/support/faultsim.hpp"
+#include "jfm/support/telemetry.hpp"
 #include "test_seed.hpp"
 
 namespace jfm::coupling {
@@ -217,6 +219,62 @@ TEST_F(IncrementalCheckoutTest, UnchangedRepeatSyncSkipsEverything) {
   EXPECT_EQ(second->requested, 0u);
   EXPECT_EQ(second->feed_size, 0u);
   EXPECT_EQ(second->skipped, 3u);  // the three known cellviews
+}
+
+// A sync counts its skips against the cursor in place: skipped is
+// |known| - |known ∩ delta| for the cursor as it stood before the sync,
+// whether the delta adds a cellview, re-exports a known one, or is
+// empty. And under COW no checkout reaches the executor, whatever
+// `workers` asks for: export_batch sizes lanes from physical work,
+// which shared extents make zero, and the journal always runs inline.
+TEST_F(IncrementalCheckoutTest, SkipCountMatchesTheCursorAndCowSyncsStayInline) {
+  World w = build_world(/*incremental_on=*/true);
+  auto& submitted =
+      support::telemetry::Registry::global().counter("executor.task.submitted.count");
+  const std::uint64_t tasks_before = submitted.value();
+  const auto dst = vfs::Path().child("scratch").child("cow");
+  auto cold = w.hybrid->checkout_hierarchy("p", "top", w.alice, dst, /*workers=*/8);
+  ASSERT_TRUE(cold.ok()) << cold.error().to_text();
+  ASSERT_TRUE(cold->failures.empty());
+  EXPECT_FALSE(cold->incremental);
+  EXPECT_EQ(cold->requested, 3u);
+
+  // One incremental sync whose delta must carry exactly `delta`; the
+  // skip count is checked against the cursor as it stood before it.
+  auto sync_and_check = [&](const std::set<std::string>& delta) {
+    const auto cursors = w.hybrid->checkout_cursors();
+    ASSERT_EQ(cursors.size(), 1u);
+    const auto& known = cursors.begin()->second.known;
+    std::size_t known_in_delta = 0;
+    for (const auto& label : delta) known_in_delta += known.count(label);
+    auto sync = w.hybrid->checkout_hierarchy("p", "top", w.alice, dst, /*workers=*/8);
+    ASSERT_TRUE(sync.ok()) << sync.error().to_text();
+    ASSERT_TRUE(sync->failures.empty());
+    EXPECT_TRUE(sync->incremental);
+    EXPECT_EQ(sync->requested, delta.size());
+    EXPECT_EQ(sync->skipped, known.size() - known_in_delta);
+  };
+  {
+    SCOPED_TRACE("delta with a new cellview");
+    auto run = w.hybrid->run_activity("p", "alu", "simulate", w.alice,
+                                      {{"set-dut", {"alu", "schematic"}}, {"run", {}}});
+    ASSERT_TRUE(run.ok()) << run.error().to_text();
+    // The run also links its schematic input (as the execution's input
+    // and as a derivation source), and a link restamps both endpoints,
+    // so the delta re-exports that unchanged input too.
+    sync_and_check({"alu/simulate", "alu/schematic"});
+  }
+  {
+    SCOPED_TRACE("delta with an already-known cellview");
+    ASSERT_TRUE(
+        w.hybrid->run_activity("p", "regfile", "enter_schematic", w.alice, edit(3)).ok());
+    sync_and_check({"regfile/schematic"});
+  }
+  {
+    SCOPED_TRACE("empty delta");
+    sync_and_check({});
+  }
+  EXPECT_EQ(submitted.value(), tasks_before);
 }
 
 TEST_F(IncrementalCheckoutTest, FailedDeltaRollsBackAndLeavesTheCursorUnmoved) {

@@ -11,6 +11,12 @@
 //     workers=8 over identical fresh environments must produce the
 //     same Status vector, the same bytes on disk, the same stats and
 //     the same final cache -- parallelism must never change results.
+//
+// export_batch only fans out when its exports physically duplicate
+// bytes, so each engine-level test also runs a cow_extents=false leg
+// whose batches cross TransferEngine::kMinBytesPerLane and checks that
+// executor lanes really ran (wherever the process may use more than
+// one CPU: lanes are capped by that count).
 
 #include <gtest/gtest.h>
 
@@ -21,6 +27,8 @@
 #include <vector>
 
 #include "jfm/coupling/transfer.hpp"
+#include "jfm/support/executor.hpp"
+#include "jfm/support/telemetry.hpp"
 
 namespace jfm::coupling {
 namespace {
@@ -83,17 +91,47 @@ TEST(ParallelVfs, ConcurrentContentHashAndReadersRaceFree) {
 
 class ParallelCheckoutTest : public ::testing::Test {
  protected:
+  /// Per-object payload padding for the cow_extents=false legs: four
+  /// staged objects already carry two lanes' worth of physical bytes.
+  static constexpr std::size_t kLanePad = TransferEngine::kMinBytesPerLane / 4;
+
+  /// Seed payload of object `i`, `pad` bytes longer than the base size;
+  /// sizes vary so byte totals catch misrouted results.
+  static std::string payload(int i, std::size_t pad) {
+    return std::string(pad + 200 + 17 * static_cast<std::size_t>(i),
+                       static_cast<char>('a' + i % 26));
+  }
+
+  /// Executor tasks submitted so far (process-wide counter).
+  static std::uint64_t executor_tasks() {
+    return support::telemetry::Registry::global()
+        .counter("executor.task.submitted.count")
+        .value();
+  }
+
+  /// A padded cow_extents=false batch with workers > 1 fans out
+  /// wherever the process may use more than one CPU: export_batch caps
+  /// its lanes at that count, so on one CPU it stays inline.
+  static void expect_fanned_out(std::uint64_t tasks) {
+    if (support::executor::Executor::usable_cpus() > 1) {
+      EXPECT_GT(tasks, 0u);
+    } else {
+      EXPECT_EQ(tasks, 0u);
+    }
+  }
+
   // One self-contained environment. The determinism guard builds two
   // and requires them byte-identical, so everything here is seeded.
   struct Env {
     support::SimClock clock;
-    vfs::FileSystem fs{&clock};
+    vfs::FileSystem fs;
     jcf::JcfFramework jcf{&clock};
     jcf::UserRef user;
     std::vector<jcf::DesignObjectRef> dobjs;
     std::vector<jcf::DovRef> dovs;
 
-    explicit Env(int objects) {
+    explicit Env(int objects, bool cow = true, std::size_t pad = 0)
+        : fs(&clock, vfs::FsOptions{.cow_extents = cow}) {
       EXPECT_TRUE(fs.mkdirs(vfs::Path().child("out")).ok());
       user = *jcf.create_user("alice");
       auto team = *jcf.create_team("rtl");
@@ -111,10 +149,7 @@ class ParallelCheckoutTest : public ::testing::Test {
       for (int i = 0; i < objects; ++i) {
         auto vt = *jcf.create_viewtype("view" + std::to_string(i));
         dobjs.push_back(*jcf.create_design_object(variant, "do" + std::to_string(i), vt, user));
-        // payload sizes vary so byte totals catch misrouted results
-        dovs.push_back(*jcf.create_dov(dobjs.back(),
-                                       std::string(200 + 17 * i, static_cast<char>('a' + i % 26)),
-                                       user));
+        dovs.push_back(*jcf.create_dov(dobjs.back(), payload(i, pad), user));
       }
     }
   };
@@ -130,94 +165,107 @@ class ParallelCheckoutTest : public ::testing::Test {
 };
 
 // The full storm, for the TSan lane: reader pools, an importer and a
-// chaos thread mixing cache maintenance with stats snapshots.
+// chaos thread mixing cache maintenance with stats snapshots. Under COW
+// every batch runs inline on its reader thread; the cow_extents=false
+// leg pads the payloads so each cold batch fans out on executor lanes.
 TEST_F(ParallelCheckoutTest, ExportStormWithImportsAndCacheChaos) {
-  constexpr int kObjects = 8;
-  Env env(kObjects);
-  TransferOptions options;
-  options.copy_through_filesystem = true;
-  options.content_addressed_cache = true;
-  options.cache_capacity = 64;
-  TransferEngine engine(&env.jcf, &env.fs, vfs::Path().child("xfer"), options);
+  for (const bool cow : {true, false}) {
+    SCOPED_TRACE(cow ? "cow_extents=true" : "cow_extents=false");
+    constexpr int kObjects = 8;
+    const std::size_t pad = cow ? 0 : kLanePad;
+    Env env(kObjects, cow, pad);
+    TransferOptions options;
+    options.copy_through_filesystem = true;
+    options.content_addressed_cache = true;
+    options.cache_capacity = 64;
+    TransferEngine engine(&env.jcf, &env.fs, vfs::Path().child("xfer"), options);
 
-  constexpr int kImports = 24;
-  std::vector<vfs::Path> sources;
-  for (int i = 0; i < kImports; ++i) {
-    vfs::Path src = vfs::Path().child("out").child("src" + std::to_string(i));
-    ASSERT_TRUE(env.fs.write_file(src, "imported " + std::to_string(i)).ok());
-    sources.push_back(src);
-  }
-
-  constexpr int kReaderThreads = 3;
-  constexpr int kBatchesPerReader = 10;
-  std::atomic<std::uint64_t> ok_exports{0};
-  std::atomic<std::uint64_t> failed_exports{0};
-  std::atomic<bool> done{false};
-
-  auto reader = [&](int id) {
-    for (int round = 0; round < kBatchesPerReader; ++round) {
-      auto items = requests(env, "r" + std::to_string(id) + "_");
-      auto results = engine.export_batch(items, 4);
-      for (const auto& st : results) {
-        (st.ok() ? ok_exports : failed_exports).fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  };
-  auto importer = [&]() {
+    constexpr int kImports = 24;
+    std::vector<vfs::Path> sources;
     for (int i = 0; i < kImports; ++i) {
-      auto dov = engine.import_file(sources[i], env.dobjs[static_cast<std::size_t>(i) % kObjects],
-                                    env.user);
-      EXPECT_TRUE(dov.ok()) << "import " << i;
+      vfs::Path src = vfs::Path().child("out").child("src" + std::to_string(i));
+      ASSERT_TRUE(env.fs.write_file(src, "imported " + std::to_string(i)).ok());
+      sources.push_back(src);
     }
-  };
-  auto chaos = [&]() {
-    std::uint64_t last_exports = 0;
-    while (!done.load(std::memory_order_acquire)) {
-      engine.clear_cache();
-      (void)engine.cache_size();
-      const auto s = engine.stats_snapshot();
-      // snapshots are monotone: a later one never reports fewer exports
-      EXPECT_GE(s.exports, last_exports);
-      last_exports = s.exports;
-      (void)env.fs.counters();
-      std::this_thread::yield();
+
+    constexpr int kReaderThreads = 3;
+    constexpr int kBatchesPerReader = 10;
+    std::atomic<std::uint64_t> ok_exports{0};
+    std::atomic<std::uint64_t> failed_exports{0};
+    std::atomic<bool> done{false};
+
+    auto reader = [&](int id) {
+      for (int round = 0; round < kBatchesPerReader; ++round) {
+        auto items = requests(env, "r" + std::to_string(id) + "_");
+        auto results = engine.export_batch(items, 4);
+        for (const auto& st : results) {
+          (st.ok() ? ok_exports : failed_exports).fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    };
+    auto importer = [&]() {
+      for (int i = 0; i < kImports; ++i) {
+        auto dov = engine.import_file(sources[i],
+                                      env.dobjs[static_cast<std::size_t>(i) % kObjects], env.user);
+        EXPECT_TRUE(dov.ok()) << "import " << i;
+      }
+    };
+    auto chaos = [&]() {
+      std::uint64_t last_exports = 0;
+      while (!done.load(std::memory_order_acquire)) {
+        engine.clear_cache();
+        (void)engine.cache_size();
+        const auto s = engine.stats_snapshot();
+        // snapshots are monotone: a later one never reports fewer exports
+        EXPECT_GE(s.exports, last_exports);
+        last_exports = s.exports;
+        (void)env.fs.counters();
+        std::this_thread::yield();
+      }
+    };
+
+    const std::uint64_t tasks_before = executor_tasks();
+    std::vector<std::thread> threads;
+    for (int r = 0; r < kReaderThreads; ++r) threads.emplace_back(reader, r);
+    threads.emplace_back(importer);
+    std::thread chaos_thread(chaos);
+    for (auto& t : threads) t.join();
+    done.store(true, std::memory_order_release);
+    chaos_thread.join();
+    // Each reader's first batch is cold (nothing cached for its
+    // destinations yet), so the padded leg must have fanned out.
+    if (!cow) {
+      expect_fanned_out(executor_tasks() - tasks_before);
     }
-  };
 
-  std::vector<std::thread> threads;
-  for (int r = 0; r < kReaderThreads; ++r) threads.emplace_back(reader, r);
-  threads.emplace_back(importer);
-  std::thread chaos_thread(chaos);
-  for (auto& t : threads) t.join();
-  done.store(true, std::memory_order_release);
-  chaos_thread.join();
+    const auto stats = engine.stats_snapshot();
+    const std::uint64_t expected =
+        static_cast<std::uint64_t>(kReaderThreads) * kBatchesPerReader * kObjects;
+    EXPECT_EQ(ok_exports.load(), expected);
+    EXPECT_EQ(failed_exports.load(), 0u);
+    EXPECT_EQ(stats.exports, expected);
+    EXPECT_EQ(stats.imports, static_cast<std::uint64_t>(kImports));
+    EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.exports);
 
-  const auto stats = engine.stats_snapshot();
-  const std::uint64_t expected =
-      static_cast<std::uint64_t>(kReaderThreads) * kBatchesPerReader * kObjects;
-  EXPECT_EQ(ok_exports.load(), expected);
-  EXPECT_EQ(failed_exports.load(), 0u);
-  EXPECT_EQ(stats.exports, expected);
-  EXPECT_EQ(stats.imports, static_cast<std::uint64_t>(kImports));
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.exports);
-
-  // Every destination holds exactly one seed payload, untorn. Imports
-  // only ever add *new* versions, so each exported DovRef's bytes are
-  // immutable for the whole run.
-  for (int r = 0; r < kReaderThreads; ++r) {
-    for (int i = 0; i < kObjects; ++i) {
-      auto content = env.fs.read_file(vfs::Path().child("out").child(
-          "r" + std::to_string(r) + "_" + std::to_string(i)));
-      ASSERT_TRUE(content.ok());
-      EXPECT_EQ(*content,
-                std::string(200 + 17 * i, static_cast<char>('a' + i % 26)));
+    // Every destination holds exactly one seed payload, untorn. Imports
+    // only ever add *new* versions, so each exported DovRef's bytes are
+    // immutable for the whole run.
+    for (int r = 0; r < kReaderThreads; ++r) {
+      for (int i = 0; i < kObjects; ++i) {
+        auto content = env.fs.read_file(vfs::Path().child("out").child(
+            "r" + std::to_string(r) + "_" + std::to_string(i)));
+        ASSERT_TRUE(content.ok());
+        EXPECT_EQ(*content, payload(i, pad));
+      }
     }
   }
 }
 
 // Determinism guard: the worker count is a throughput knob, never a
 // semantics knob. workers=1 and workers=8 over identical environments
-// must agree on every observable.
+// must agree on every observable -- under COW, where both run inline,
+// and under cow_extents=false, where workers=8 fans the padded batch
+// out on executor lanes.
 TEST_F(ParallelCheckoutTest, WorkerCountDoesNotChangeResults) {
   constexpr int kObjects = 16;
   TransferOptions options;
@@ -225,55 +273,71 @@ TEST_F(ParallelCheckoutTest, WorkerCountDoesNotChangeResults) {
   options.content_addressed_cache = true;
   options.cache_capacity = 256;
 
-  auto run = [&](std::size_t workers) {
-    auto env = std::make_unique<Env>(kObjects);
-    TransferEngine engine(&env->jcf, &env->fs, vfs::Path().child("xfer"), options);
-    auto items = requests(*env, "d");
-    // one deterministic failure: a destination under a missing directory
-    items.push_back({env->dovs[0], env->user,
-                     vfs::Path().child("no_such_dir").child("x")});
-    struct Outcome {
-      std::vector<support::Status> cold;
-      std::vector<support::Status> warm;
-      TransferStats stats;
-      std::size_t cache_entries;
-      std::vector<std::string> files;
-    } out;
-    out.cold = engine.export_batch(items, workers);
-    out.warm = engine.export_batch(items, workers);  // second pass: cache hits
-    out.stats = engine.stats_snapshot();
-    out.cache_entries = engine.cache_size();
-    for (int i = 0; i < kObjects; ++i) {
-      auto content = env->fs.read_file(vfs::Path().child("out").child("d" + std::to_string(i)));
-      EXPECT_TRUE(content.ok());
-      out.files.push_back(content.ok() ? *content : std::string());
+  for (const bool cow : {true, false}) {
+    SCOPED_TRACE(cow ? "cow_extents=true" : "cow_extents=false");
+    const std::size_t pad = cow ? 0 : kLanePad;
+    auto run = [&](std::size_t workers) {
+      auto env = std::make_unique<Env>(kObjects, cow, pad);
+      TransferEngine engine(&env->jcf, &env->fs, vfs::Path().child("xfer"), options);
+      auto items = requests(*env, "d");
+      // one deterministic failure: a destination under a missing directory
+      items.push_back({env->dovs[0], env->user,
+                       vfs::Path().child("no_such_dir").child("x")});
+      struct Outcome {
+        std::vector<support::Status> cold;
+        std::vector<support::Status> warm;
+        TransferStats stats;
+        std::size_t cache_entries;
+        std::vector<std::string> files;
+        std::uint64_t cold_tasks;
+      } out;
+      const std::uint64_t tasks_before = executor_tasks();
+      out.cold = engine.export_batch(items, workers);
+      out.cold_tasks = executor_tasks() - tasks_before;
+      out.warm = engine.export_batch(items, workers);  // second pass: cache hits
+      out.stats = engine.stats_snapshot();
+      out.cache_entries = engine.cache_size();
+      for (int i = 0; i < kObjects; ++i) {
+        auto content =
+            env->fs.read_file(vfs::Path().child("out").child("d" + std::to_string(i)));
+        EXPECT_TRUE(content.ok());
+        out.files.push_back(content.ok() ? *content : std::string());
+      }
+      return out;
+    };
+
+    const auto serial = run(1);
+    const auto parallel = run(8);
+
+    // workers=1 never touches the pool; the padded workers=8 batch does
+    // wherever more than one CPU is usable.
+    EXPECT_EQ(serial.cold_tasks, 0u);
+    if (!cow) {
+      expect_fanned_out(parallel.cold_tasks);
     }
-    return out;
-  };
 
-  const auto serial = run(1);
-  const auto parallel = run(8);
+    ASSERT_EQ(serial.cold.size(), parallel.cold.size());
+    for (std::size_t i = 0; i < serial.cold.size(); ++i) {
+      EXPECT_EQ(serial.cold[i].ok(), parallel.cold[i].ok()) << "cold item " << i;
+      EXPECT_EQ(serial.cold[i].code(), parallel.cold[i].code()) << "cold item " << i;
+      EXPECT_EQ(serial.warm[i].ok(), parallel.warm[i].ok()) << "warm item " << i;
+    }
+    // the one bad destination failed in both runs
+    EXPECT_FALSE(serial.cold.back().ok());
+    EXPECT_FALSE(parallel.cold.back().ok());
 
-  ASSERT_EQ(serial.cold.size(), parallel.cold.size());
-  for (std::size_t i = 0; i < serial.cold.size(); ++i) {
-    EXPECT_EQ(serial.cold[i].ok(), parallel.cold[i].ok()) << "cold item " << i;
-    EXPECT_EQ(serial.cold[i].code(), parallel.cold[i].code()) << "cold item " << i;
-    EXPECT_EQ(serial.warm[i].ok(), parallel.warm[i].ok()) << "warm item " << i;
+    EXPECT_EQ(serial.files, parallel.files);
+    EXPECT_EQ(serial.cache_entries, parallel.cache_entries);
+    EXPECT_EQ(serial.stats.exports, parallel.stats.exports);
+    EXPECT_EQ(serial.stats.bytes_exported, parallel.stats.bytes_exported);
+    EXPECT_EQ(serial.stats.bytes_exported_physical, parallel.stats.bytes_exported_physical);
+    EXPECT_EQ(serial.stats.staging_copies, parallel.stats.staging_copies);
+    EXPECT_EQ(serial.stats.cache_hits, parallel.stats.cache_hits);
+    EXPECT_EQ(serial.stats.cache_misses, parallel.stats.cache_misses);
+    EXPECT_EQ(serial.stats.bytes_saved, parallel.stats.bytes_saved);
+    // and the warm pass hit for every good destination in both runs
+    EXPECT_EQ(serial.stats.cache_hits, static_cast<std::uint64_t>(kObjects));
   }
-  // the one bad destination failed in both runs
-  EXPECT_FALSE(serial.cold.back().ok());
-  EXPECT_FALSE(parallel.cold.back().ok());
-
-  EXPECT_EQ(serial.files, parallel.files);
-  EXPECT_EQ(serial.cache_entries, parallel.cache_entries);
-  EXPECT_EQ(serial.stats.exports, parallel.stats.exports);
-  EXPECT_EQ(serial.stats.bytes_exported, parallel.stats.bytes_exported);
-  EXPECT_EQ(serial.stats.staging_copies, parallel.stats.staging_copies);
-  EXPECT_EQ(serial.stats.cache_hits, parallel.stats.cache_hits);
-  EXPECT_EQ(serial.stats.cache_misses, parallel.stats.cache_misses);
-  EXPECT_EQ(serial.stats.bytes_saved, parallel.stats.bytes_saved);
-  // and the warm pass hit for every good destination in both runs
-  EXPECT_EQ(serial.stats.cache_hits, static_cast<std::uint64_t>(kObjects));
 }
 
 // Zero-rehash warm exports: once a destination is materialized, a
@@ -336,27 +400,6 @@ TEST_F(ParallelCheckoutTest, CacheProbeMemoizesSoSecondProbeIsFree) {
   // probe 2 rides the memo probe 1 installed: zero new hashed bytes
   EXPECT_EQ(after.hash_bytes, mid.hash_bytes);
   EXPECT_EQ(engine.stats_snapshot().cache_hits, 2u);
-}
-
-// The serialization ablation still produces correct results -- it only
-// changes the locking, never the data path.
-TEST_F(ParallelCheckoutTest, ExclusiveTransfersAblationStaysCorrect) {
-  constexpr int kObjects = 8;
-  Env env(kObjects);
-  TransferOptions options;
-  options.copy_through_filesystem = true;
-  options.content_addressed_cache = true;
-  options.exclusive_transfers = true;
-  TransferEngine engine(&env.jcf, &env.fs, vfs::Path().child("xfer"), options);
-  auto items = requests(env, "e");
-  auto results = engine.export_batch(items, 8);
-  for (std::size_t i = 0; i < results.size(); ++i) EXPECT_TRUE(results[i].ok()) << i;
-  EXPECT_EQ(engine.stats_snapshot().exports, static_cast<std::uint64_t>(kObjects));
-  for (int i = 0; i < kObjects; ++i) {
-    auto content = env.fs.read_file(vfs::Path().child("out").child("e" + std::to_string(i)));
-    ASSERT_TRUE(content.ok());
-    EXPECT_EQ(content->size(), 200u + 17u * static_cast<unsigned>(i));
-  }
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ class TransferTest : public ::testing::Test {
 };
 
 TEST_F(TransferTest, ExportMaterializesDovContent) {
-  TransferEngine engine(&jcf, &fs, vfs::Path().child("xfer"), true);
+  TransferEngine engine(&jcf, &fs, vfs::Path().child("xfer"), TransferOptions{});
   auto dov = *jcf.create_dov(dobj, std::string(256, 'd'), user);
   auto dst = vfs::Path().child("out").child("data");
   ASSERT_TRUE(engine.export_dov(dov, user, dst).ok());
@@ -54,7 +54,7 @@ TEST_F(TransferTest, ExportMaterializesDovContent) {
 }
 
 TEST_F(TransferTest, ImportCreatesNewDov) {
-  TransferEngine engine(&jcf, &fs, vfs::Path().child("xfer"), true);
+  TransferEngine engine(&jcf, &fs, vfs::Path().child("xfer"), TransferOptions{});
   auto src = vfs::Path().child("out").child("src");
   ASSERT_TRUE(fs.write_file(src, "tool output").ok());
   auto dov = engine.import_file(src, dobj, user);
@@ -69,13 +69,15 @@ TEST_F(TransferTest, StagingDoublesFileSystemTraffic) {
   const std::string payload(10'000, 'p');
   auto dov = *jcf.create_dov(dobj, payload, user);
 
-  // copy-through mode: payload crosses the fs twice on export
-  TransferEngine staged(&jcf, &fs, vfs::Path().child("xfer1"), true);
+  // copy-through mode (the default): payload crosses the fs twice on export
+  TransferOptions options;
+  TransferEngine staged(&jcf, &fs, vfs::Path().child("xfer1"), options);
   fs.reset_counters();
   ASSERT_TRUE(staged.export_dov(dov, user, vfs::Path().child("out").child("a")).ok());
   const auto with_staging = fs.counters().bytes_written;
 
-  TransferEngine direct(&jcf, &fs, vfs::Path().child("xfer2"), false);
+  options.copy_through_filesystem = false;
+  TransferEngine direct(&jcf, &fs, vfs::Path().child("xfer2"), options);
   fs.reset_counters();
   ASSERT_TRUE(direct.export_dov(dov, user, vfs::Path().child("out").child("b")).ok());
   const auto without_staging = fs.counters().bytes_written;
@@ -88,7 +90,7 @@ TEST_F(TransferTest, StagingDoublesFileSystemTraffic) {
 TEST_F(TransferTest, WorkspaceRulesApplyToTransfers) {
   auto dov = *jcf.create_dov(dobj, "private", user);
   auto stranger = *jcf.create_user("eve");
-  TransferEngine engine(&jcf, &fs, vfs::Path().child("xfer"), true);
+  TransferEngine engine(&jcf, &fs, vfs::Path().child("xfer"), TransferOptions{});
   // unpublished data cannot be exported by another user
   auto st = engine.export_dov(dov, stranger, vfs::Path().child("out").child("x"));
   ASSERT_FALSE(st.ok());
@@ -102,7 +104,7 @@ TEST_F(TransferTest, WorkspaceRulesApplyToTransfers) {
 }
 
 TEST_F(TransferTest, MissingSourceFileReported) {
-  TransferEngine engine(&jcf, &fs, vfs::Path().child("xfer"), true);
+  TransferEngine engine(&jcf, &fs, vfs::Path().child("xfer"), TransferOptions{});
   auto missing = engine.import_file(vfs::Path().child("out").child("ghost"), dobj, user);
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.error().code, Errc::not_found);
@@ -257,7 +259,7 @@ TEST_F(TransferTest, StatsAgreeAcrossCopyThroughDirectAndCachedModes) {
 
 TEST_F(TransferTest, StagingFilesRemovedAfterSuccessAndFailure) {
   const auto xfer = vfs::Path().child("xfer");
-  TransferEngine engine(&jcf, &fs, xfer, true);
+  TransferEngine engine(&jcf, &fs, xfer, TransferOptions{});
   auto dov = *jcf.create_dov(dobj, "payload", user);
 
   // success paths
@@ -315,7 +317,7 @@ TEST_F(TransferTest, ExportBatchDeliversPerItemResults) {
 }
 
 TEST_F(TransferTest, RoundTripPreservesBytes) {
-  TransferEngine engine(&jcf, &fs, vfs::Path().child("xfer"), true);
+  TransferEngine engine(&jcf, &fs, vfs::Path().child("xfer"), TransferOptions{});
   std::string payload;
   for (int i = 0; i < 1000; ++i) payload.push_back(static_cast<char>('a' + i % 26));
   auto d1 = *jcf.create_dov(dobj, payload, user);

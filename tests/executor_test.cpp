@@ -1,5 +1,5 @@
 // The persistent work-stealing executor (docs/executor.md): lazy
-// start, task handles, helping joins, run_lanes / parallel_for
+// start, task handles, helping joins, run_lanes
 // coverage, telemetry accounting, and an 8-thread steal storm for the
 // TSan lane. Fresh Executor instances throughout -- the global() pool
 // is shared process-wide and other suites may have warmed it.
@@ -110,27 +110,13 @@ TEST(ExecutorTest, RunLanesRunsBodyOncePerLane) {
   EXPECT_TRUE(tids.count(std::this_thread::get_id()) == 1);
 }
 
-TEST(ExecutorTest, ParallelForCoversEveryIndexExactlyOnce) {
-  Executor exec(4);
-  constexpr std::size_t kN = 10000;
-  std::vector<std::atomic<int>> hits(kN);
-  for (auto& h : hits) h.store(0);
-  exec.parallel_for(kN, 8, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+TEST(ExecutorTest, UsableCpusIsAtLeastOneAndAtMostTheMachine) {
+  // The affinity mask can only shrink the machine, never grow it.
+  const std::size_t cpus = Executor::usable_cpus();
+  EXPECT_GE(cpus, 1u);
+  if (std::thread::hardware_concurrency() > 0) {
+    EXPECT_LE(cpus, std::thread::hardware_concurrency());
   }
-}
-
-TEST(ExecutorTest, ParallelForZeroAndOneItemEdgeCases) {
-  Executor exec(2);
-  int calls = 0;
-  exec.parallel_for(0, 8, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  exec.parallel_for(1, 8, [&](std::size_t i) {
-    EXPECT_EQ(i, 0u);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 1);
 }
 
 TEST(ExecutorTest, TelemetryCountsSubmittedEqualsCompleted) {
@@ -161,7 +147,7 @@ TEST(ExecutorTest, DestructorRunsEveryTaskSubmittedBeforeStop) {
 }
 
 // The TSan centerpiece: 8 external threads hammer one 8-worker pool
-// with interleaved submits, helping joins and nested parallel_fors,
+// with interleaved submits, helping joins and nested run_lanes,
 // forcing cross-lane steals the whole way.
 TEST(ExecutorTest, StealStormIsRaceFreeAndLosesNothing) {
   Executor exec(8);
@@ -189,8 +175,12 @@ TEST(ExecutorTest, StealStormIsRaceFreeAndLosesNothing) {
           h.wait();
         }
       }
-      exec.parallel_for(8, 4, [&](std::size_t i) {
-        sum.fetch_add(i, std::memory_order_relaxed);
+      // 4 lanes self-schedule indices 0..7 off one cursor
+      std::atomic<std::uint64_t> next{0};
+      exec.run_lanes(4, [&]() {
+        for (std::uint64_t i = next.fetch_add(1); i < 8; i = next.fetch_add(1)) {
+          sum.fetch_add(i, std::memory_order_relaxed);
+        }
       });
     }
   };

@@ -157,7 +157,9 @@ TEST_F(EpochTest, FeedReadersRaceCommitBurstsCleanly) {
   constexpr std::size_t kLanes = 8;
   constexpr int kRounds = 64;
   std::atomic<std::uint64_t> seen{0};
-  exec.parallel_for(kLanes, kLanes, [&](std::size_t lane) {
+  std::atomic<std::size_t> next_lane{0};
+  exec.run_lanes(kLanes, [&]() {
+    const std::size_t lane = next_lane.fetch_add(1);
     if (lane < kLanes / 2) {
       for (int i = 0; i < kRounds; ++i) {
         auto id = store.create("Node");
