@@ -1,7 +1,7 @@
 // Fault-tolerance cost and recovery behaviour (docs/fault-injection.md).
 //
 // Three questions, one workload (the same 64-DOV / 128 KiB-payload
-// hierarchy as bench_parallel_checkout, workers=4):
+// hierarchy as bench_parallel_checkout):
 //
 //   * disabled_warm  -- what does the fault-tolerant export path cost
 //     when injection is OFF? The hook points collapse to one relaxed
@@ -38,7 +38,6 @@ constexpr int kCells = 16;
 constexpr int kViews = 4;
 constexpr int kDovs = kCells * kViews;
 constexpr std::size_t kPayloadBytes = 128 * 1024;
-constexpr std::size_t kWorkers = 4;
 constexpr int kReps = 5;
 
 /// The bench_parallel_checkout world: kDovs seeded design object
@@ -98,7 +97,7 @@ struct CheckoutEnv {
 std::uint64_t time_batch_us(coupling::TransferEngine& engine,
                             const std::vector<coupling::ExportRequest>& items) {
   const auto start = std::chrono::steady_clock::now();
-  auto results = engine.export_batch(items, kWorkers);
+  auto results = engine.export_batch(items);
   const auto end = std::chrono::steady_clock::now();
   for (const auto& st : results) {
     if (!st.ok()) std::abort();  // the warm workload must be all-green
@@ -109,9 +108,9 @@ std::uint64_t time_batch_us(coupling::TransferEngine& engine,
 
 void emit(const char* mode, std::uint64_t wall_us, std::uint64_t retries,
           std::uint64_t rollbacks, std::uint64_t injected) {
-  std::printf("JFM_FAULT_RECOVERY mode=%s workers=%zu wall_us=%llu retries=%llu "
-              "rollbacks=%llu injected=%llu\n",
-              mode, kWorkers, static_cast<unsigned long long>(wall_us),
+  std::printf("JFM_FAULT_RECOVERY mode=%s wall_us=%llu retries=%llu rollbacks=%llu "
+              "injected=%llu\n",
+              mode, static_cast<unsigned long long>(wall_us),
               static_cast<unsigned long long>(retries),
               static_cast<unsigned long long>(rollbacks),
               static_cast<unsigned long long>(injected));
@@ -151,9 +150,8 @@ void print_report() {
   const double armed_ratio =
       disabled_us == 0 ? 1.0 : static_cast<double>(armed_us) / static_cast<double>(disabled_us);
   std::snprintf(line, sizeof(line),
-                "warm batch (%d DOVs, workers=%zu): disarmed %6llu us, armed@rate0 %6llu us "
-                "(%.2fx)",
-                kDovs, kWorkers, static_cast<unsigned long long>(disabled_us),
+                "warm batch (%d DOVs): disarmed %6llu us, armed@rate0 %6llu us (%.2fx)",
+                kDovs, static_cast<unsigned long long>(disabled_us),
                 static_cast<unsigned long long>(armed_us), armed_ratio);
   benchutil::row(line);
   emit("disabled_warm", disabled_us, 0, 0, 0);
@@ -185,8 +183,8 @@ void print_report() {
   int attempts = 0;
   const auto start = std::chrono::steady_clock::now();
   for (; attempts < 20; ++attempts) {
-    auto report = world.hybrid.checkout_hierarchy(
-        "proj", "top", world.alice, vfs::Path().child("scratch").child("co"), kWorkers);
+    auto report = world.hybrid.checkout_hierarchy("proj", "top", world.alice,
+                                                  vfs::Path().child("scratch").child("co"));
     if (!report.ok()) continue;
     retries += report->retries;
     if (report->rolled_back) ++rollbacks;
@@ -213,9 +211,8 @@ void print_report() {
   registry.gauge("bench.fault_recovery.recovery.rollbacks")
       .set(static_cast<std::int64_t>(rollbacks));
 
-  std::printf("JFM_FAULT_RECOVERY_META workers=%zu dovs=%d payload_bytes=%llu "
-              "armed_ratio=%.3f\n",
-              kWorkers, kDovs, static_cast<unsigned long long>(env.payload_bytes), armed_ratio);
+  std::printf("JFM_FAULT_RECOVERY_META dovs=%d payload_bytes=%llu armed_ratio=%.3f\n", kDovs,
+              static_cast<unsigned long long>(env.payload_bytes), armed_ratio);
 }
 
 // -- google-benchmark micro-timings ----------------------------------------

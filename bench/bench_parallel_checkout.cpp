@@ -1,30 +1,22 @@
-// Parallel checkout: does export_batch fan out only where the work is
-// real, and does that fan-out pay?
+// Checkout cost: cold vs warm export batches, and the end-to-end
+// checkout_hierarchy paths built on them.
 //
 // The workload is a 64-DOV hierarchy (16 cells x 4 views) with ~128 KiB
-// schematic payloads, checked out via TransferEngine::export_batch at
-// workers in {1, 2, 4, 8}, under both file-system extent modes:
+// schematic payloads, checked out via one TransferEngine::export_batch
+// call on the calling thread, under both file-system extent modes:
 //   * cold / warm             -- COW extents (the default): every
-//     export is a refcount bump, the lane estimate is zero, and every
-//     worker count runs the batch inline on the caller;
+//     export is a refcount bump;
 //   * cold_nocow / warm_nocow -- the cow_extents=false ablation: each
 //     staged export duplicates its payload twice, so a cold batch
-//     carries ~21 MiB of physical work and export_batch gives it one
-//     lane per TransferEngine::kMinBytesPerLane, up to `workers` and
-//     the CPUs the process may run on.
+//     carries ~21 MiB of physical work.
 // cold = fresh engine + empty destinations, warm = the first re-checkout
 // with the same engine into the same destinations (the content-addressed
-// cache answers with hash probes).
-//
-// Speedups are relative to workers=1 of the same mode. The rounds
-// interleave the worker counts, so a slow spell on a shared host hits
-// every column alike; it takes 101 of them to keep identical columns
-// within a few percent of each other on the sub-millisecond rows
-// (EXPERIMENTS.md). scripts/run_benches.py gates two things on these
-// rows: no workers=2/4/8 row may take more than 1.1x its workers=1 time
-// (fan-out must never cost), and cold_nocow -- the only leg with
-// physical work -- must reach min(2.0, 0.5 x cores) at 8 workers.
-// The engine's lock wait is visible in the
+// cache answers with hash probes). A warm row's speedup is its mode's
+// cold time over its own. Each row is the minimum over 101 rounds, which
+// keeps a slow spell on a shared host out of the sub-millisecond rows.
+// scripts/run_benches.py gates warm against cold (--check-warm-speedup)
+// and uses the warm row as the baseline of bench_fault_recovery's
+// overhead gate. The engine's lock wait is visible in the
 // coupling.transfer.lock_wait.us histogram in the JFM_METRICS blob.
 
 #include <chrono>
@@ -35,7 +27,6 @@
 #include "bench_util.hpp"
 #include "jfm/coupling/hybrid.hpp"
 #include "jfm/coupling/transfer.hpp"
-#include "jfm/support/executor.hpp"
 #include "jfm/support/rng.hpp"
 #include "jfm/workload/generators.hpp"
 
@@ -104,10 +95,9 @@ struct CheckoutEnv {
 };
 
 std::uint64_t time_batch_us(coupling::TransferEngine& engine,
-                            const std::vector<coupling::ExportRequest>& items,
-                            std::size_t workers) {
+                            const std::vector<coupling::ExportRequest>& items) {
   const auto start = std::chrono::steady_clock::now();
-  auto results = engine.export_batch(items, workers);
+  auto results = engine.export_batch(items);
   const auto end = std::chrono::steady_clock::now();
   for (const auto& st : results) {
     if (!st.ok()) std::abort();  // the bench workload must be all-green
@@ -117,101 +107,75 @@ std::uint64_t time_batch_us(coupling::TransferEngine& engine,
 }
 
 struct Sample {
-  std::size_t workers = 0;
   std::uint64_t cold_us = ~0ull;
   std::uint64_t warm_us = ~0ull;
-  std::uint64_t tasks = 0;  ///< executor tasks the cold + warm batches submitted
 };
 
-/// min-of-kRounds timing for every worker count of one extent mode.
-/// Rounds interleave the worker counts in rotating order, so a slow
-/// spell on a shared host hits every column alike. Each cold batch gets
-/// a fresh engine and a fresh destination tag, so cold really is cold,
-/// and the destinations are dropped after the warm batches to bound
-/// memory.
-std::vector<Sample> sweep(CheckoutEnv& env) {
+/// min-of-kRounds cold and warm timing for one extent mode. Each cold
+/// batch gets a fresh engine and a fresh destination tag, so cold
+/// really is cold, and the destinations are dropped after the warm
+/// batch to bound memory.
+Sample measure(CheckoutEnv& env) {
   constexpr int kRounds = 101;
   coupling::TransferOptions options;
   options.copy_through_filesystem = true;
   options.content_addressed_cache = true;
   options.cache_capacity = 2 * kDovs;
-  auto& submitted = support::telemetry::Registry::global().counter(
-      "executor.task.submitted.count");
-  std::vector<Sample> samples;
-  for (std::size_t workers : {1u, 2u, 4u, 8u}) samples.push_back(Sample{.workers = workers});
+  Sample s;
   for (int round = 0; round < kRounds; ++round) {
-    for (std::size_t k = 0; k < samples.size(); ++k) {
-      // Each round starts one column later, so no worker count always
-      // runs in the same slot (right after the same predecessor).
-      auto& s = samples[(k + static_cast<std::size_t>(round)) % samples.size()];
-      const std::string tag = std::to_string(s.workers) + "w_" + std::to_string(round);
-      coupling::TransferEngine engine(&env.jcf, &env.fs,
-                                      vfs::Path().child("xfer_" + tag), options);
-      auto items = env.requests(tag);
-      const std::uint64_t tasks_before = submitted.value();
-      s.cold_us = std::min(s.cold_us, time_batch_us(engine, items, s.workers));
-      // warm: same engine, same destinations -> pure cache-hit traffic,
-      // timed on the first re-checkout after the cold batch.
-      s.warm_us = std::min(s.warm_us, time_batch_us(engine, items, s.workers));
-      s.tasks = submitted.value() - tasks_before;
-      for (const auto& item : items) (void)env.fs.remove(item.dst);
-    }
+    const std::string tag = "r" + std::to_string(round);
+    coupling::TransferEngine engine(&env.jcf, &env.fs, vfs::Path().child("xfer_" + tag),
+                                    options);
+    auto items = env.requests(tag);
+    s.cold_us = std::min(s.cold_us, time_batch_us(engine, items));
+    // warm: same engine, same destinations -> pure cache-hit traffic,
+    // timed on the first re-checkout after the cold batch.
+    s.warm_us = std::min(s.warm_us, time_batch_us(engine, items));
+    for (const auto& item : items) (void)env.fs.remove(item.dst);
   }
-  return samples;
+  return s;
 }
 
-void report_sweep(const CheckoutEnv& env, const std::vector<Sample>& samples,
-                  const std::string& mode_suffix) {
+void report_sample(const CheckoutEnv& env, const Sample& s, const std::string& mode_suffix) {
   auto mbps = [&](std::uint64_t us) {
     return us == 0 ? 0.0 : static_cast<double>(env.payload_bytes) / static_cast<double>(us);
   };
-  auto& registry = support::telemetry::Registry::global();
   const std::string cold_mode = "cold" + mode_suffix;
   const std::string warm_mode = "warm" + mode_suffix;
+  const double warm_speedup =
+      static_cast<double>(s.cold_us) / static_cast<double>(std::max<std::uint64_t>(1, s.warm_us));
   char line[256];
-  for (const auto& s : samples) {
-    const double cold_speedup =
-        static_cast<double>(samples.front().cold_us) / static_cast<double>(s.cold_us);
-    const double warm_speedup =
-        static_cast<double>(samples.front().warm_us) / static_cast<double>(s.warm_us);
-    std::snprintf(line, sizeof(line),
-                  "%-10s workers=%zu  cold %8llu us (%7.1f MB/s, %4.2fx)   warm %6llu us "
-                  "(%4.2fx)   executor tasks %llu",
-                  cold_mode.c_str(), s.workers, static_cast<unsigned long long>(s.cold_us),
-                  mbps(s.cold_us), cold_speedup, static_cast<unsigned long long>(s.warm_us),
-                  warm_speedup, static_cast<unsigned long long>(s.tasks));
-    benchutil::row(line);
-    // machine-readable: one line per (workers, mode) + registry gauges,
-    // both consumed by scripts/run_benches.py
-    std::printf("JFM_PARALLEL_CHECKOUT workers=%zu mode=%s wall_us=%llu bytes=%llu speedup=%.3f\n",
-                s.workers, cold_mode.c_str(), static_cast<unsigned long long>(s.cold_us),
-                static_cast<unsigned long long>(env.payload_bytes), cold_speedup);
-    std::printf("JFM_PARALLEL_CHECKOUT workers=%zu mode=%s wall_us=%llu bytes=%llu speedup=%.3f\n",
-                s.workers, warm_mode.c_str(), static_cast<unsigned long long>(s.warm_us),
-                static_cast<unsigned long long>(env.payload_bytes), warm_speedup);
-    const std::string prefix = "bench.parallel_checkout." +
-                               std::string(mode_suffix.empty() ? "" : "nocow.") + "w" +
-                               std::to_string(s.workers);
-    registry.gauge(prefix + ".cold.us").set(static_cast<std::int64_t>(s.cold_us));
-    registry.gauge(prefix + ".warm.us").set(static_cast<std::int64_t>(s.warm_us));
-  }
+  std::snprintf(line, sizeof(line), "%-10s cold %8llu us (%7.1f MB/s)   warm %6llu us (%5.2fx)",
+                cold_mode.c_str(), static_cast<unsigned long long>(s.cold_us), mbps(s.cold_us),
+                static_cast<unsigned long long>(s.warm_us), warm_speedup);
+  benchutil::row(line);
+  // machine-readable: one line per mode + registry gauges, both
+  // consumed by scripts/run_benches.py
+  std::printf("JFM_PARALLEL_CHECKOUT mode=%s wall_us=%llu bytes=%llu speedup=1.0\n",
+              cold_mode.c_str(), static_cast<unsigned long long>(s.cold_us),
+              static_cast<unsigned long long>(env.payload_bytes));
+  std::printf("JFM_PARALLEL_CHECKOUT mode=%s wall_us=%llu bytes=%llu speedup=%.3f\n",
+              warm_mode.c_str(), static_cast<unsigned long long>(s.warm_us),
+              static_cast<unsigned long long>(env.payload_bytes), warm_speedup);
+  auto& registry = support::telemetry::Registry::global();
+  const std::string prefix =
+      std::string("bench.parallel_checkout.") + (mode_suffix.empty() ? "" : "nocow.");
+  registry.gauge(prefix + "cold.us").set(static_cast<std::int64_t>(s.cold_us));
+  registry.gauge(prefix + "warm.us").set(static_cast<std::int64_t>(s.warm_us));
 }
 
 void print_report() {
-  benchutil::header("parallel checkout: export_batch lanes follow physical work");
+  benchutil::header("checkout: cold vs warm export batches");
   CheckoutEnv env;
   // COW-off ablation (docs/vfs-cow.md): the same checkout with the file
   // system physically duplicating every copy. Bit-identical results;
   // the delta is the payload memcpy the COW path never pays.
   CheckoutEnv nocow_env(/*cow_on=*/false);
-  const std::size_t cores = support::executor::Executor::usable_cpus();
   benchutil::row("hierarchy: " + std::to_string(kCells) + " cells x " + std::to_string(kViews) +
                  " views = " + std::to_string(kDovs) + " DOVs, " +
-                 std::to_string(env.payload_bytes / 1024) + " KiB total, cores=" +
-                 std::to_string(cores) + ", kMinBytesPerLane=" +
-                 std::to_string(coupling::TransferEngine::kMinBytesPerLane / 1024) + " KiB");
-  report_sweep(env, sweep(env), "");
-  report_sweep(nocow_env, sweep(nocow_env), "_nocow");
+                 std::to_string(env.payload_bytes / 1024) + " KiB total");
+  report_sample(env, measure(env), "");
+  report_sample(nocow_env, measure(nocow_env), "_nocow");
 
   const auto cow_io = env.fs.counters();
   const auto nocow_io = nocow_env.fs.counters();
@@ -223,11 +187,8 @@ void print_report() {
                 cow_io.bytes_physical_copied == 0 ? " (cow duplicated nothing)" : " UNEXPECTED");
   benchutil::row(line);
   if (cow_io.bytes_physical_copied != 0) std::abort();
-  std::printf("JFM_PARALLEL_CHECKOUT_META cores=%zu dovs=%d payload_bytes=%llu\n", cores, kDovs,
+  std::printf("JFM_PARALLEL_CHECKOUT_META dovs=%d payload_bytes=%llu\n", kDovs,
               static_cast<unsigned long long>(env.payload_bytes));
-  support::telemetry::Registry::global()
-      .gauge("bench.parallel_checkout.cores")
-      .set(static_cast<std::int64_t>(cores));
 }
 
 // -- end-to-end checkout_hierarchy: cold vs warm ---------------------------
@@ -288,7 +249,7 @@ void print_hierarchy_report() {
     const vfs::Path dst = vfs::Path().child("out").child("hier");
     const auto xfer_before = hybrid.transfer().stats_snapshot();
     auto t0 = std::chrono::steady_clock::now();
-    auto cold = hybrid.checkout_hierarchy_full("p", "top", user, dst, /*workers=*/1);
+    auto cold = hybrid.checkout_hierarchy_full("p", "top", user, dst);
     auto t1 = std::chrono::steady_clock::now();
     if (!cold.ok() || cold->rolled_back || !cold->failures.empty()) std::abort();
     const auto xfer_cold = hybrid.transfer().stats_snapshot();
@@ -299,7 +260,7 @@ void print_hierarchy_report() {
     const auto fs_before = hybrid.fs().counters();
     const auto ws_before = hybrid.jcf().workspace_stats();
     auto t2 = std::chrono::steady_clock::now();
-    auto warm = hybrid.checkout_hierarchy_full("p", "top", user, dst, /*workers=*/1);
+    auto warm = hybrid.checkout_hierarchy_full("p", "top", user, dst);
     auto t3 = std::chrono::steady_clock::now();
     if (!warm.ok() || warm->rolled_back || !warm->failures.empty()) std::abort();
     const auto fs_after = hybrid.fs().counters();
@@ -336,12 +297,10 @@ void print_hierarchy_report() {
                 kHierCells, static_cast<unsigned long long>(cold_us),
                 static_cast<unsigned long long>(warm_us), speedup);
   benchutil::row(line);
-  std::printf("JFM_PARALLEL_CHECKOUT workers=1 mode=hier_cold wall_us=%llu bytes=%llu "
-              "speedup=1.0\n",
+  std::printf("JFM_PARALLEL_CHECKOUT mode=hier_cold wall_us=%llu bytes=%llu speedup=1.0\n",
               static_cast<unsigned long long>(cold_us),
               static_cast<unsigned long long>(cold_bytes));
-  std::printf("JFM_PARALLEL_CHECKOUT workers=1 mode=hier_warm wall_us=%llu bytes=%llu "
-              "speedup=%.3f\n",
+  std::printf("JFM_PARALLEL_CHECKOUT mode=hier_warm wall_us=%llu bytes=%llu speedup=%.3f\n",
               static_cast<unsigned long long>(warm_us),
               static_cast<unsigned long long>(cold_bytes), speedup);
   auto& registry = support::telemetry::Registry::global();
@@ -391,7 +350,7 @@ void print_incremental_report() {
   const vfs::Path dst_full = vfs::Path().child("out").child("incr_full");
   const vfs::Path dst_incr = vfs::Path().child("out").child("incr_delta");
   for (const auto& dst : {dst_full, dst_incr}) {
-    auto prime = hybrid.checkout_hierarchy_full("p", "top", user, dst, /*workers=*/1);
+    auto prime = hybrid.checkout_hierarchy_full("p", "top", user, dst);
     if (!prime.ok() || !prime->failures.empty()) std::abort();
   }
 
@@ -427,12 +386,12 @@ void print_incremental_report() {
       // Delta first: if the shared content cache biases anything, it
       // biases toward the full walk measured second.
       auto t0 = std::chrono::steady_clock::now();
-      auto incr = hybrid.checkout_hierarchy("p", "top", user, dst_incr, /*workers=*/1);
+      auto incr = hybrid.checkout_hierarchy("p", "top", user, dst_incr);
       auto t1 = std::chrono::steady_clock::now();
       if (!incr.ok() || incr->rolled_back || !incr->failures.empty()) std::abort();
       if (!incr->incremental || incr->skipped == 0) std::abort();
       auto t2 = std::chrono::steady_clock::now();
-      auto full = hybrid.checkout_hierarchy_full("p", "top", user, dst_full, /*workers=*/1);
+      auto full = hybrid.checkout_hierarchy_full("p", "top", user, dst_full);
       auto t3 = std::chrono::steady_clock::now();
       if (!full.ok() || full->rolled_back || !full->failures.empty()) std::abort();
       if (incr_us > us(t0, t1)) {
@@ -483,7 +442,6 @@ void print_full_report() {
 
 void BM_ExportBatchCold(benchmark::State& state) {
   CheckoutEnv env;
-  const auto workers = static_cast<std::size_t>(state.range(0));
   coupling::TransferOptions options;
   options.copy_through_filesystem = true;
   options.content_addressed_cache = true;
@@ -493,30 +451,29 @@ void BM_ExportBatchCold(benchmark::State& state) {
     coupling::TransferEngine engine(&env.jcf, &env.fs,
                                     vfs::Path().child("bm_xfer" + std::to_string(tag)), options);
     auto items = env.requests("bm" + std::to_string(tag++));
-    auto results = engine.export_batch(items, workers);
+    auto results = engine.export_batch(items);
     benchmark::DoNotOptimize(results);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(env.payload_bytes) *
                           static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_ExportBatchCold)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ExportBatchCold)->Unit(benchmark::kMillisecond);
 
 void BM_ExportBatchWarm(benchmark::State& state) {
   CheckoutEnv env;
-  const auto workers = static_cast<std::size_t>(state.range(0));
   coupling::TransferOptions options;
   options.copy_through_filesystem = true;
   options.content_addressed_cache = true;
   options.cache_capacity = 2 * kDovs;
   coupling::TransferEngine engine(&env.jcf, &env.fs, vfs::Path().child("bm_warm_xfer"), options);
   auto items = env.requests("bmwarm");
-  (void)engine.export_batch(items, workers);  // prime the cache
+  (void)engine.export_batch(items);  // prime the cache
   for (auto _ : state) {
-    auto results = engine.export_batch(items, workers);
+    auto results = engine.export_batch(items);
     benchmark::DoNotOptimize(results);
   }
 }
-BENCHMARK(BM_ExportBatchWarm)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ExportBatchWarm)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -209,11 +209,11 @@ class HybridFramework {
   /// `root_cell` and its transitive children is exported into
   /// `dst_dir/<cell>_<view>` through one TransferEngine::export_batch
   /// call -- one call instead of one desktop round-trip per cellview.
-  /// `workers` only caps the batch's lanes: export_batch sizes them
-  /// from the bytes the exports physically duplicate, never beyond the
-  /// CPUs the process may run on, so under COW extents (the default) a
-  /// checkout runs inline on the caller and never touches the executor.
-  /// The journal capture always runs inline.
+  /// The checkout runs on the calling thread; concurrent checkouts into
+  /// distinct directories overlap under the engine's reader lock. The
+  /// unnamed fifth parameter is ignored: it keeps compiling callers that
+  /// still pass a worker count there, which would otherwise bind to
+  /// `timeout_us` and arm a deadline of that many microseconds.
   ///
   /// The checkout is ALL-OR-NOTHING (docs/fault-injection.md): before
   /// any byte moves, a two-phase journal captures the pre-image of
@@ -255,7 +255,7 @@ class HybridFramework {
   support::Result<CheckoutReport> checkout_hierarchy(const std::string& project,
                                                      const std::string& root_cell,
                                                      jcf::UserRef user, const vfs::Path& dst_dir,
-                                                     std::size_t workers = 4,
+                                                     std::size_t = 0,
                                                      std::uint64_t timeout_us = 0);
   /// Always performs the full hierarchy walk (the incremental_checkout
   /// ablation path, also the repair tool when dst_dir was modified
@@ -263,7 +263,7 @@ class HybridFramework {
   /// later checkout_hierarchy can continue incrementally.
   support::Result<CheckoutReport> checkout_hierarchy_full(
       const std::string& project, const std::string& root_cell, jcf::UserRef user,
-      const vfs::Path& dst_dir, std::size_t workers = 4, std::uint64_t timeout_us = 0);
+      const vfs::Path& dst_dir, std::size_t = 0, std::uint64_t timeout_us = 0);
 
   /// Per-workspace sync cursor: one per (project, root cell, user,
   /// dst_dir), advanced only by a SUCCESSFUL checkout -- a rolled-back
@@ -335,7 +335,7 @@ class HybridFramework {
   /// Shared body of checkout_hierarchy / checkout_hierarchy_full.
   support::Result<CheckoutReport> checkout_sync(const std::string& project,
                                                 const std::string& root_cell, jcf::UserRef user,
-                                                const vfs::Path& dst_dir, std::size_t workers,
+                                                const vfs::Path& dst_dir,
                                                 std::uint64_t timeout_us,
                                                 bool allow_incremental);
   void install_guards();

@@ -123,26 +123,15 @@ class TransferEngine {
 
   /// Batched export: return one Status per item (same order). The
   /// desktop/hybrid layer uses this to check out a whole hierarchy in
-  /// one call. Lanes are sized from the batch's physical work -- what
-  /// the exports would add to bytes_exported_physical: nothing for a
-  /// cache hit, the payload for a direct export, twice that staged --
-  /// at one lane per kMinBytesPerLane, capped by `workers`, the item
-  /// count and Executor::usable_cpus(). A batch that duplicates nothing
-  /// (every batch under COW extents) runs inline on the caller and never
-  /// touches the executor; extra lanes run on the shared executor under
-  /// the engine's reader lock.
+  /// one call. Items run in order on the calling thread, each with the
+  /// per-item retry discipline; concurrent callers overlap under the
+  /// engine's reader lock.
   /// `timeout_us` > 0 arms a per-batch deadline: items (and retries)
   /// that would start after it fail with Errc::timeout instead; already
   /// running attempts are never interrupted mid-copy, so a timed-out
   /// batch still leaves every individual file all-or-nothing.
   std::vector<support::Status> export_batch(std::span<const ExportRequest> items,
-                                            std::size_t workers = 4,
                                             std::uint64_t timeout_us = 0);
-  /// Physical bytes one export_batch lane must carry before the batch
-  /// adds another: below this, handing work to an executor lane costs
-  /// more than the copy it would overlap (set from bench_parallel_checkout's
-  /// cold_nocow leg, docs/executor.md).
-  static constexpr std::uint64_t kMinBytesPerLane = 1 << 20;
 
   /// True when (dov, dst) is cached AND dst still holds exactly the
   /// bytes an export of `dov` would produce (verified via the memoized
@@ -197,8 +186,7 @@ class TransferEngine {
   vfs::Path staging_file(const std::string& tag);
   /// How many times one transfer physically duplicates its payload:
   /// 0 when the file system shares extents, 2 when staged through the
-  /// transfer dir, else 1. The factor behind the *_physical counters
-  /// and export_batch's lane sizing.
+  /// transfer dir, else 1. The factor behind the *_physical counters.
   std::uint64_t physical_copies() const noexcept;
   /// One attempt: lock acquisition, fault hook, export_shared.
   support::Status export_once(jcf::DovRef dov, jcf::UserRef reader, const vfs::Path& dst);

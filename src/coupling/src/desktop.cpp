@@ -1,6 +1,5 @@
 #include "jfm/coupling/desktop.hpp"
 
-#include "jfm/support/executor.hpp"
 #include "jfm/support/faultsim.hpp"
 #include "jfm/support/strings.hpp"
 #include "jfm/support/telemetry.hpp"
@@ -192,17 +191,16 @@ Status DesktopShell::dispatch(const std::vector<std::string>& words, DesktopResu
     return {};
   }
   if (cmd == "stats") {
-    // stats [json] [index|faults|cow|executor|changes|wal] [prefix] --
+    // stats [json] [index|faults|cow|changes|wal] [prefix] --
     // dump the process-wide metrics registry; `stats index` summarizes
     // OMS index effectiveness, `stats faults` the fault-injection /
     // recovery digest (docs/fault-injection.md), `stats cow` the
-    // extent-sharing digest (docs/vfs-cow.md), `stats executor` the
-    // shared work-stealing pool (docs/executor.md), `stats changes`
-    // the change-tracking spine and the per-workspace checkout cursors
+    // extent-sharing digest (docs/vfs-cow.md), `stats changes` the
+    // change-tracking spine and the per-workspace checkout cursors
     // (docs/incremental-checkout.md), `stats wal` the durable-store
     // journal digest (docs/persistence.md).
     if (words.size() > 3) {
-      return usage("stats [json|index|faults|cow|executor|changes|wal] [prefix]");
+      return usage("stats [json|index|faults|cow|changes|wal] [prefix]");
     }
     namespace telemetry = support::telemetry;
     if (words.size() == 2 && words[1] == "cow") {
@@ -267,26 +265,6 @@ Status DesktopShell::dispatch(const std::vector<std::string>& words, DesktopResu
       say("checkout: rollbacks=" +
           std::to_string(counter("coupling.checkout.rollback.count")) + " restored=" +
           std::to_string(counter("coupling.checkout.rollback.restored.count")));
-      return {};
-    }
-    if (words.size() == 2 && words[1] == "executor") {
-      auto counter = [&snapshot](const char* name) -> std::uint64_t {
-        auto it = snapshot.counters.find(name);
-        return it == snapshot.counters.end() ? 0 : it->second;
-      };
-      auto gauge = [&snapshot](const char* name) -> std::int64_t {
-        auto it = snapshot.gauges.find(name);
-        return it == snapshot.gauges.end() ? 0 : it->second;
-      };
-      auto& exec = support::executor::Executor::global();
-      say(std::string("pool: workers=") + std::to_string(exec.workers()) +
-          (exec.started() ? " (started)" : " (not started)"));
-      const std::uint64_t submitted = counter("executor.task.submitted.count");
-      const std::uint64_t completed = counter("executor.task.completed.count");
-      say("tasks: submitted=" + std::to_string(submitted) + " completed=" +
-          std::to_string(completed) + " queued=" +
-          std::to_string(gauge("executor.queue.depth")));
-      say("steals: " + std::to_string(counter("executor.steal.count")));
       return {};
     }
     if (words.size() == 2 && words[1] == "index") {

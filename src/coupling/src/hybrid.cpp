@@ -563,11 +563,37 @@ Result<ActivityRunReport> HybridFramework::run_activity_on(
   auto exec = jcf_.start_activity(*variant, *act, user, force);
   if (!exec.ok()) return forward_error<ActivityRunReport>(exec.error());
   report.exec = *exec;
+  // The one rollback path: every return from here on aborts the
+  // execution, so no failure leaves it running. Released only once
+  // complete_activity has recorded the outputs.
+  struct AbortUnlessCompleted {
+    jcf::JcfFramework* jcf;
+    jcf::ExecRef exec;
+    bool completed = false;
+    ~AbortUnlessCompleted() {
+      if (!completed) (void)jcf->abort_activity(exec);
+    }
+  } rollback{&jcf_, *exec};
 
   const auto transfer_before = transfer_->stats_snapshot();
 
   // ---- copy required data from OMS into the slave library -----------------
   fmcad::DesignerSession* session = session_for(*ctx, *uname);
+  // Make `text` the slave's default version of `key`. A failure between
+  // the checkout and the checkin cancels the checkout, so the cellview
+  // is not left locked.
+  auto store_default = [session](const fmcad::CellViewKey& key, std::string text) -> Status {
+    auto work = session->checkout(key);
+    if (!work.ok()) return Status(work.error());
+    Status st = session->write_working(key, std::move(text));
+    if (st.ok()) {
+      auto version = session->checkin(key);
+      if (version.ok()) return {};
+      st = Status(version.error());
+    }
+    (void)session->cancel_checkout(key);
+    return st;
+  };
   auto inputs = jcf_.exec_inputs(*exec);
   if (!inputs.ok()) return forward_error<ActivityRunReport>(inputs.error());
   for (auto input : *inputs) {
@@ -578,7 +604,6 @@ Result<ActivityRunReport> HybridFramework::run_activity_on(
     fmcad::CellViewKey key{cell, *view_name};
     vfs::Path scratch = root_path("scratch").child("in_" + cell + "_" + *view_name);
     if (auto st = transfer_->export_dov(input, user, scratch); !st.ok()) {
-      (void)jcf_.abort_activity(*exec);
       return forward_error<ActivityRunReport>(st.error());
     }
     auto staged = fs_.read_file(scratch);
@@ -586,30 +611,21 @@ Result<ActivityRunReport> HybridFramework::run_activity_on(
     if (!staged.ok()) return forward_error<ActivityRunReport>(staged.error());
     auto current = session->read_default(key);
     if (!current.ok() || *current != *staged) {
-      auto work = session->checkout(key);
-      if (!work.ok()) {
-        (void)jcf_.abort_activity(*exec);
-        return forward_error<ActivityRunReport>(work.error());
-      }
-      if (auto st = session->write_working(key, *staged); !st.ok()) {
+      if (auto st = store_default(key, std::move(*staged)); !st.ok()) {
         return forward_error<ActivityRunReport>(st.error());
       }
-      auto version = session->checkin(key);
-      if (!version.ok()) return forward_error<ActivityRunReport>(version.error());
     }
   }
 
   // ---- open the encapsulated tool on the target cellview ------------------
   auto creates = jcf_.activity_creates(*act);
   if (!creates.ok() || creates->empty()) {
-    (void)jcf_.abort_activity(*exec);
     return Report::failure(Errc::internal, "activity creates no viewtype");
   }
   auto target_view = jcf_.name_of(creates->front().id);
   if (!target_view.ok()) return forward_error<ActivityRunReport>(target_view.error());
   fmcad::ToolInterface* tool = tools_.by_viewtype(*target_view);
   if (tool == nullptr) {
-    (void)jcf_.abort_activity(*exec);
     return Report::failure(Errc::not_found, "no FMCAD tool for viewtype " + *target_view);
   }
   if (tool == sim_tool_.get()) {
@@ -631,7 +647,6 @@ Result<ActivityRunReport> HybridFramework::run_activity_on(
       if (dov.ok()) {
         vfs::Path scratch = root_path("scratch").child("seed_" + cell + "_" + *target_view);
         if (auto st = transfer_->export_dov(*dov, user, scratch); !st.ok()) {
-          (void)jcf_.abort_activity(*exec);
           return forward_error<ActivityRunReport>(st.error());
         }
         auto staged = fs_.read_file(scratch);
@@ -643,16 +658,9 @@ Result<ActivityRunReport> HybridFramework::run_activity_on(
     auto current = session->read_default(target_key);
     const std::string current_text = current.ok() ? *current : std::string();
     if (current_text != desired) {
-      auto work = session->checkout(target_key);
-      if (!work.ok()) {
-        (void)jcf_.abort_activity(*exec);
-        return forward_error<ActivityRunReport>(work.error());
-      }
-      if (auto st = session->write_working(target_key, desired); !st.ok()) {
+      if (auto st = store_default(target_key, std::move(desired)); !st.ok()) {
         return forward_error<ActivityRunReport>(st.error());
       }
-      auto version = session->checkin(target_key);
-      if (!version.ok()) return forward_error<ActivityRunReport>(version.error());
     }
   }
 
@@ -672,7 +680,6 @@ Result<ActivityRunReport> HybridFramework::run_activity_on(
 
   fmcad::CellViewKey target{cell, *target_view};
   if (auto st = tool_session.open(target, /*read_only=*/false); !st.ok()) {
-    (void)jcf_.abort_activity(*exec);
     return forward_error<ActivityRunReport>(st.error());
   }
   // Lock the menu points whose effects JCF could not track (s2.4).
@@ -694,7 +701,6 @@ Result<ActivityRunReport> HybridFramework::run_activity_on(
     }
     if (!st.ok()) {
       (void)tool_session.discard();
-      (void)jcf_.abort_activity(*exec);
       return forward_error<ActivityRunReport>(st.error());
     }
   }
@@ -732,7 +738,6 @@ Result<ActivityRunReport> HybridFramework::run_activity_on(
         auto st = hierarchy_->submit_children(ctx->ref, cell, undeclared);
         if (!st.ok()) {
           (void)tool_session.discard();
-          (void)jcf_.abort_activity(*exec);
           return forward_error<ActivityRunReport>(st.error());
         }
       } else {
@@ -740,7 +745,6 @@ Result<ActivityRunReport> HybridFramework::run_activity_on(
                         " uses undeclared children; submit them via the JCF desktop first",
                     &report.consistency_windows);
         (void)tool_session.discard();
-        (void)jcf_.abort_activity(*exec);
         return Report::failure(Errc::consistency_violation,
                                "undeclared hierarchy children: " +
                                    support::join(undeclared, ", "));
@@ -768,7 +772,6 @@ Result<ActivityRunReport> HybridFramework::run_activity_on(
                           other_view + " of " + cell + " (not supported by JCF 3.0)",
                       &report.consistency_windows);
           (void)tool_session.discard();
-          (void)jcf_.abort_activity(*exec);
           return Report::failure(Errc::not_supported,
                                  "non-isomorphic hierarchies are not supported");
         }
@@ -780,7 +783,6 @@ Result<ActivityRunReport> HybridFramework::run_activity_on(
   auto version = tool_session.checkin();
   if (!version.ok()) {
     (void)tool_session.discard();
-    (void)jcf_.abort_activity(*exec);
     return forward_error<ActivityRunReport>(version.error());
   }
   report.fmcad_version = *version;
@@ -804,6 +806,7 @@ Result<ActivityRunReport> HybridFramework::run_activity_on(
   if (auto st = jcf_.complete_activity(*exec, {*dov}); !st.ok()) {
     return forward_error<ActivityRunReport>(st.error());
   }
+  rollback.completed = true;
 
   const auto transfer_after = transfer_->stats_snapshot();
   report.bytes_exported = transfer_after.bytes_exported - transfer_before.bytes_exported;
@@ -836,15 +839,15 @@ Result<std::string> HybridFramework::open_read_only(const std::string& project,
 
 Result<HybridFramework::CheckoutReport> HybridFramework::checkout_hierarchy(
     const std::string& project, const std::string& root_cell, jcf::UserRef user,
-    const vfs::Path& dst_dir, std::size_t workers, std::uint64_t timeout_us) {
-  return checkout_sync(project, root_cell, user, dst_dir, workers, timeout_us,
+    const vfs::Path& dst_dir, std::size_t, std::uint64_t timeout_us) {
+  return checkout_sync(project, root_cell, user, dst_dir, timeout_us,
                        /*allow_incremental=*/true);
 }
 
 Result<HybridFramework::CheckoutReport> HybridFramework::checkout_hierarchy_full(
     const std::string& project, const std::string& root_cell, jcf::UserRef user,
-    const vfs::Path& dst_dir, std::size_t workers, std::uint64_t timeout_us) {
-  return checkout_sync(project, root_cell, user, dst_dir, workers, timeout_us,
+    const vfs::Path& dst_dir, std::size_t, std::uint64_t timeout_us) {
+  return checkout_sync(project, root_cell, user, dst_dir, timeout_us,
                        /*allow_incremental=*/false);
 }
 
@@ -856,8 +859,7 @@ std::map<std::string, HybridFramework::CheckoutCursor> HybridFramework::checkout
 
 Result<HybridFramework::CheckoutReport> HybridFramework::checkout_sync(
     const std::string& project, const std::string& root_cell, jcf::UserRef user,
-    const vfs::Path& dst_dir, std::size_t workers, std::uint64_t timeout_us,
-    bool allow_incremental) {
+    const vfs::Path& dst_dir, std::uint64_t timeout_us, bool allow_incremental) {
   using Report = Result<CheckoutReport>;
   JFM_SPAN("coupling", "checkout_hierarchy");
   const ProjectCtx* ctx = project_ctx(project);
@@ -1066,7 +1068,7 @@ Result<HybridFramework::CheckoutReport> HybridFramework::checkout_sync(
   {
     JFM_SPAN("coupling", "checkout_journal");
     // Captures are pure reads (peek / exists / extent pin) that move no
-    // payload bytes, so they run inline: no batch is worth a lane hop.
+    // payload bytes.
     for (const auto& req : requests) {
       if (transfer_->peek_cached(req.dov, req.dst)) continue;
       JournalEntry entry{req.dst, fs_.exists(req.dst), {}};
@@ -1082,7 +1084,7 @@ Result<HybridFramework::CheckoutReport> HybridFramework::checkout_sync(
   // Phase 2: run the batch; on ANY failure replay the journal so the
   // checkout is all-or-nothing.
   const TransferStats before = transfer_->stats_snapshot();
-  auto statuses = transfer_->export_batch(requests, workers, timeout_us);
+  auto statuses = transfer_->export_batch(requests, timeout_us);
   const TransferStats after = transfer_->stats_snapshot();
   for (std::size_t i = 0; i < statuses.size(); ++i) {
     if (statuses[i].ok()) {

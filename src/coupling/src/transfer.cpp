@@ -5,7 +5,6 @@
 #include <chrono>
 #include <thread>
 
-#include "jfm/support/executor.hpp"
 #include "jfm/support/faultsim.hpp"
 #include "jfm/support/telemetry.hpp"
 
@@ -72,7 +71,7 @@ TransferEngine::~TransferEngine() {
 
 vfs::Path TransferEngine::staging_file(const std::string& tag) {
   // The counter is atomic: concurrent exports draw distinct staging
-  // files, so shared-lock workers never collide in the transfer dir.
+  // files, so shared-lock callers never collide in the transfer dir.
   const std::uint64_t n = stage_counter_.fetch_add(1, kRelaxed) + 1;
   return transfer_dir_.child(tag + "_" + std::to_string(n) + ".xfer");
 }
@@ -202,7 +201,7 @@ Status TransferEngine::export_shared(jcf::DovRef dov, jcf::UserRef reader,
                                      const vfs::Path& dst) {
   // Caller holds the engine lock (shared is enough): the OMS read, the
   // hash and the staging copies below all run concurrently across
-  // export workers -- the store and the file system carry their own
+  // exporting callers -- the store and the file system carry their own
   // reader-writer locks.
   //
   // The payload travels as an extent: a refcount on the buffer the OMS
@@ -288,73 +287,19 @@ Status TransferEngine::export_shared(jcf::DovRef dov, jcf::UserRef reader,
 }
 
 std::vector<Status> TransferEngine::export_batch(std::span<const ExportRequest> items,
-                                                 std::size_t workers,
                                                  std::uint64_t timeout_us) {
-  telemetry::ScopedSpan batch("coupling", "transfer.export_batch");
+  JFM_SPAN("coupling", "transfer.export_batch");
   std::vector<Status> results(items.size());
-  if (items.empty()) return results;
   // Per-batch deadline: items (and retries) that would START after it
   // fail with Errc::timeout. A running attempt is never interrupted, so
   // each file stays all-or-nothing even in a timed-out batch.
   const bool has_deadline = timeout_us > 0;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::microseconds(timeout_us);
-  // Lanes follow the physical work: one per kMinBytesPerLane of bytes
-  // the exports will duplicate, capped by `workers`, the item count and
-  // the CPUs this process may run on (more lanes than that only
-  // time-slice). The estimate mirrors what export_shared charges to
-  // bytes_exported_physical -- copies x size, nothing for a cache hit
-  // -- and stops once it reaches the cap. A cached item counts as a hit
-  // without re-verifying dst: a stale entry only costs the batch a lane
-  // it could have used. Under COW nothing is duplicated, and with a cap
-  // of one there is nothing to decide: such a batch runs inline without
-  // a per-item call.
-  const std::uint64_t copies = physical_copies();
-  std::size_t cap = std::min(std::max<std::size_t>(workers, 1), items.size());
-  if (copies > 0 && cap > 1) cap = std::min(cap, support::executor::Executor::usable_cpus());
-  std::size_t lanes = 1;
-  if (copies > 0 && cap > 1) {
-    std::uint64_t physical = 0;
-    for (std::size_t i = 0; i < items.size() && physical < cap * kMinBytesPerLane; ++i) {
-      if (options_.content_addressed_cache) {
-        std::lock_guard lock(cache_mu_);
-        if (cache_.contains(CacheKey(items[i].dov.id, items[i].dst.str()))) continue;
-      }
-      if (auto size = jcf_->dov_size(items[i].dov); size.ok()) physical += copies * *size;
-    }
-    const std::uint64_t wanted = (physical + kMinBytesPerLane - 1) / kMinBytesPerLane;
-    lanes = static_cast<std::size_t>(std::clamp<std::uint64_t>(wanted, 1, cap));
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    results[i] =
+        export_with_retry(items[i].dov, items[i].reader, items[i].dst, deadline, has_deadline);
   }
-  if (lanes <= 1) {
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      results[i] =
-          export_with_retry(items[i].dov, items[i].reader, items[i].dst, deadline, has_deadline);
-    }
-    return results;
-  }
-  std::atomic<std::size_t> next{0};
-  // Lanes run on the persistent executor pool instead of freshly
-  // spawned threads; they start with an empty span context, so their
-  // spans parent to the batch span explicitly to keep a single tree.
-  const std::uint64_t batch_span = batch.id();
-  auto lane_body = [&]() {
-    telemetry::ScopedSpan lane("coupling", "transfer.worker", batch_span);
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= items.size()) return;
-      // Each lane owns its result slot; lanes share the engine's
-      // reader lock and the store/fs reader locks underneath, so the
-      // payload work of distinct items genuinely overlaps.
-      results[i] =
-          export_with_retry(items[i].dov, items[i].reader, items[i].dst, deadline, has_deadline);
-    }
-  };
-  // `lanes` is the LOGICAL lane count; the executor's size caps real
-  // parallelism. run_lanes executes one lane on this thread and helps
-  // until the submitted lanes finish, so a saturated pool can never
-  // deadlock and per-item fault decisions stay interleaving-invariant
-  // (docs/fault-injection.md).
-  support::executor::Executor::global().run_lanes(lanes, lane_body);
   return results;
 }
 

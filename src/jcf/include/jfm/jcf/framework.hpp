@@ -212,12 +212,6 @@ class JcfFramework {
   /// the DOV's buffer is populated (DOVs are immutable, so it never
   /// invalidates).
   support::Result<DovFingerprint> dov_fingerprint(DovRef dov, UserRef reader);
-  /// Payload size in bytes, for planning work (export_batch sizes its
-  /// lanes from it): no visibility gate, no read accounting, no hash --
-  /// administrative like dovs_changed_since, whose rows carry the same
-  /// size. A reader that may not see the DOV still fails when it
-  /// fetches the data.
-  support::Result<std::uint64_t> dov_size(DovRef dov) const;
 
   /// One row of the DOV change feed: a design-object version whose OMS
   /// object mutated after the consumer's epoch -- created, published or

@@ -269,12 +269,6 @@ Result<JcfFramework::DovFingerprint> JcfFramework::dov_fingerprint(DovRef dov,
   return DovFingerprint{fp->hash, fp->size};
 }
 
-Result<std::uint64_t> JcfFramework::dov_size(DovRef dov) const {
-  auto data = store_.get_text_extent(dov.id, "data");
-  if (!data.ok()) return Result<std::uint64_t>::failure(data.error().code, data.error().message);
-  return static_cast<std::uint64_t>((*data)->size());
-}
-
 std::vector<JcfFramework::DovChange> JcfFramework::dovs_changed_since(
     std::uint64_t epoch) const {
   JFM_SPAN("jcf", "changes_feed");

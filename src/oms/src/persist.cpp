@@ -5,8 +5,8 @@
 //
 //   * commit() seals the transaction's ops into one CRC-framed redo
 //     record (wal.hpp); records buffer in wal_pending_ and one vfs
-//     append flushes a full group (group commit, offloaded to the
-//     shared executor when the group size warrants a real batch);
+//     append on the committing thread flushes a full group (group
+//     commit);
 //   * a flush failure NEVER fails the commit -- the records stay
 //     buffered for retry, and wal_repair_tail() truncates any torn
 //     half-record a failed append left behind before the next append,
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "jfm/oms/store.hpp"
-#include "jfm/support/executor.hpp"
 #include "jfm/support/faultsim.hpp"
 #include "jfm/support/hash.hpp"
 #include "jfm/support/strings.hpp"
@@ -163,23 +162,7 @@ Status Store::wal_flush_locked() {
     }
   }
   const std::string_view batch(wal_pending_.data(), sealed);
-  Status st;
-  // A pool hop costs tens of microseconds of submit/wake latency, so
-  // only a batch big enough to dwarf that is worth dispatching: the
-  // append (the fsync analog) then runs on the shared executor while
-  // the committing thread's cache stays on store structures.
-  // TaskHandle::wait() blocks without stealing, so no foreign task can
-  // re-enter the store lock here. Small batches append inline -- with
-  // the vfs's in-place append that is cheaper than any hand-off.
-  constexpr std::size_t kOffloadBytes = 64 * 1024;
-  if (options_.wal_group_commit > 1 && batch.size() >= kOffloadBytes) {
-    auto handle = support::executor::Executor::global().submit(
-        [this, batch, &st] { st = journal_fs_->append_file(wal_path(), batch); });
-    handle.wait();
-  } else {
-    st = journal_fs_->append_file(wal_path(), batch);
-  }
-  if (!st.ok()) {
+  if (auto st = journal_fs_->append_file(wal_path(), batch); !st.ok()) {
     // The append may have torn mid-batch; remember to truncate back to
     // the durable prefix before the retry. Records stay pending.
     wal_tail_dirty_ = true;

@@ -16,9 +16,7 @@
 //     subsystem tags and wall-clock durations, recorded into a bounded
 //     in-memory ring buffer when tracing is enabled. Disabled tracing
 //     costs one relaxed atomic load per span site. Parent links follow
-//     the call stack through a thread-local, and can be set explicitly
-//     to stitch worker-pool spans (TransferEngine::export_batch) under
-//     their initiating span.
+//     the call stack through a thread-local.
 //
 // Naming convention for metrics: subsystem.operation.unit, e.g.
 // "coupling.transfer.export.count", "vfs.file.copy.bytes",
@@ -201,27 +199,20 @@ class Tracer {
 };
 
 /// RAII span. Construction opens the span (parent = the calling
-/// thread's innermost open span unless overridden); destruction records
-/// it into the global tracer. When tracing is disabled, both ends are
-/// a single relaxed atomic load.
+/// thread's innermost open span); destruction records it into the
+/// global tracer. When tracing is disabled, both ends are a single
+/// relaxed atomic load.
 class ScopedSpan {
  public:
   ScopedSpan(std::string_view subsystem, std::string_view name);
-  /// Explicit parent: used to stitch spans produced on worker-pool
-  /// threads under the span that initiated the batch.
-  ScopedSpan(std::string_view subsystem, std::string_view name, std::uint64_t parent_id);
   ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  /// This span's id (0 when tracing is off) -- hand it to worker
-  /// threads for the explicit-parent constructor.
+  /// This span's id (0 when tracing is off).
   std::uint64_t id() const noexcept { return id_; }
 
  private:
-  void open(std::string_view subsystem, std::string_view name, std::uint64_t parent,
-            bool explicit_parent);
-
   std::uint64_t id_ = 0;
   std::uint64_t parent_ = 0;
   std::uint64_t start_us_ = 0;

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "jfm/coupling/desktop.hpp"
-#include "jfm/support/executor.hpp"
 #include "jfm/support/faultsim.hpp"
 
 namespace jfm::coupling {
@@ -300,40 +299,10 @@ TEST_F(DesktopTest, FaultCommandsArmDigestAndDisarm) {
   ASSERT_TRUE(shell->execute_line("stats faults", disarmed).ok());
   ASSERT_FALSE(disarmed.transcript.empty());
   EXPECT_EQ(disarmed.transcript.front(), "injector: disarmed");
-  // usage error on a bare `faults`
+  // a bare `faults` is a usage error ...
   DesktopResult usage;
   EXPECT_EQ(shell->execute_line("faults", usage).code(), Errc::invalid_argument);
-}
-
-TEST_F(DesktopTest, StatsExecutorSummarizesThePool) {
-  DesktopResult result;
-  ASSERT_TRUE(shell->execute_line("stats executor", result).ok());
-  bool saw_pool = false, saw_tasks = false, saw_steals = false;
-  for (const auto& line : result.transcript) {
-    if (line.rfind("pool: workers=", 0) == 0) saw_pool = true;
-    if (line.rfind("tasks: submitted=", 0) == 0) saw_tasks = true;
-    if (line.rfind("steals: ", 0) == 0) saw_steals = true;
-  }
-  EXPECT_TRUE(saw_pool);
-  EXPECT_TRUE(saw_tasks);
-  EXPECT_TRUE(saw_steals);
-
-  // Drive real work through the pool and require the task counters to
-  // be visible (and balanced) in the digest afterwards.
-  auto& exec = support::executor::Executor::global();
-  exec.run_lanes(4, [] {});
-  DesktopResult after;
-  ASSERT_TRUE(shell->execute_line("stats executor", after).ok());
-  bool saw_started = false;
-  for (const auto& line : after.transcript) {
-    if (line.find("(started)") != std::string::npos) saw_started = true;
-    if (line.rfind("tasks: submitted=", 0) == 0) {
-      EXPECT_EQ(line.find("submitted=0 "), std::string::npos) << line;
-    }
-  }
-  EXPECT_TRUE(saw_started);
-  // the unknown-subcommand path still falls through to the prefix table
-  DesktopResult usage;
+  // so is a `stats` line with too many words
   EXPECT_EQ(shell->execute_line("stats a b c", usage).code(), Errc::invalid_argument);
 }
 

@@ -15,9 +15,7 @@
 
 #include "jfm/coupling/hybrid.hpp"
 #include "jfm/oms/store.hpp"
-#include "jfm/support/executor.hpp"
 #include "jfm/support/faultsim.hpp"
-#include "jfm/support/telemetry.hpp"
 #include "test_seed.hpp"
 
 namespace jfm::coupling {
@@ -60,9 +58,7 @@ class FaultRecoveryTest : public ::testing::Test {
   /// A three-cell hierarchy (top -> {alu, regfile}) with populated
   /// schematics, built with the injector DISARMED so every world is
   /// identical before the experiment starts. cow=false selects the
-  /// physical-copy ablation and pads each schematic with one
-  /// kMinBytesPerLane/2-byte net name, so a three-item checkout
-  /// duplicates enough bytes for export_batch to fan out.
+  /// physical-copy ablation.
   void build_world(bool cache_on = true, bool cow = true) {
     faultsim::Injector::global().disarm();
     HybridConfig config;
@@ -72,15 +68,10 @@ class FaultRecoveryTest : public ::testing::Test {
     ASSERT_TRUE(hybrid->bootstrap().ok());
     alice = *hybrid->add_designer("alice");
     ASSERT_TRUE(hybrid->create_project("p").ok());
-    auto schematic = tiny_schematic();
-    if (!cow) {
-      schematic.push_back(
-          {"add-net", {std::string(TransferEngine::kMinBytesPerLane / 2, 'n')}});
-    }
     for (const char* cell : {"top", "alu", "regfile"}) {
       ASSERT_TRUE(hybrid->create_cell("p", cell, alice).ok());
       ASSERT_TRUE(hybrid->reserve_cell("p", cell, alice).ok());
-      auto run = hybrid->run_activity("p", cell, "enter_schematic", alice, schematic);
+      auto run = hybrid->run_activity("p", cell, "enter_schematic", alice, tiny_schematic());
       ASSERT_TRUE(run.ok()) << run.error().to_text();
     }
     ASSERT_TRUE(hybrid->declare_child("p", "top", "alu").ok());
@@ -91,24 +82,6 @@ class FaultRecoveryTest : public ::testing::Test {
     auto plan = faultsim::parse_plan(plan_text);
     ASSERT_TRUE(plan.ok()) << plan.error().to_text();
     faultsim::Injector::global().arm(std::move(*plan));
-  }
-
-  /// Executor tasks submitted so far (process-wide counter).
-  static std::uint64_t executor_tasks() {
-    return support::telemetry::Registry::global()
-        .counter("executor.task.submitted.count")
-        .value();
-  }
-
-  /// A padded cow_extents=false checkout with workers > 1 fans out
-  /// wherever the process may use more than one CPU: export_batch caps
-  /// its lanes at that count, so on one CPU it stays inline.
-  static void expect_fanned_out(std::uint64_t tasks) {
-    if (support::executor::Executor::usable_cpus() > 1) {
-      EXPECT_GT(tasks, 0u);
-    } else {
-      EXPECT_EQ(tasks, 0u);
-    }
   }
 
   std::unique_ptr<HybridFramework> hybrid;
@@ -178,12 +151,17 @@ TEST_F(FaultRecoveryTest, RetriesAbsorbTransientExportFaults) {
   arm("transfer.export_item@1,2");
   auto dst = vfs::Path().child("scratch").child("retry");
   auto report = hybrid->checkout_hierarchy("p", "top", alice, dst);
+  const auto injected = faultsim::Injector::global().injected_by_site();
   ASSERT_TRUE(report.ok()) << report.error().to_text();
   EXPECT_TRUE(report->failures.empty());
   EXPECT_FALSE(report->rolled_back);
   EXPECT_EQ(report->exported, 3u);
   EXPECT_GE(report->retries, 2u);
   EXPECT_EQ(tree_contents(hybrid->fs(), dst).size(), 3u);
+  // exactly the two scheduled faults fired, both on the export path
+  ASSERT_EQ(injected.size(), 1u);
+  EXPECT_EQ(injected[0].first, "transfer.export_item");
+  EXPECT_EQ(injected[0].second, 2u);
 }
 
 TEST_F(FaultRecoveryTest, ExhaustedRetriesRollBackToPreCheckoutState) {
@@ -225,22 +203,30 @@ TEST_F(FaultRecoveryTest, ExhaustedRetriesRollBackToPreCheckoutState) {
 
 TEST_F(FaultRecoveryTest, FaultScheduleReplaysIdenticallyAcrossRuns) {
   // Same seed + same world => the same attempt-by-attempt outcome,
-  // including which items needed retries.
-  auto run_once = [this]() {
-    build_world();
-    arm("seed=99;transfer.export_item=0.5");
-    auto dst = vfs::Path().child("scratch").child("replay");
-    auto report = hybrid->checkout_hierarchy("p", "top", alice, dst);
-    faultsim::Injector::global().disarm();
-    EXPECT_TRUE(report.ok());
-    auto failures = report.ok() ? report->failures : std::vector<std::string>{};
-    return std::make_tuple(report.ok() ? report->retries : 0u,
-                           report.ok() ? report->rolled_back : false, failures,
-                           tree_contents(hybrid->fs(), dst));
-  };
-  const auto first = run_once();
-  const auto second = run_once();
-  EXPECT_EQ(first, second);
+  // including which items needed retries, which faults fired and what
+  // the transfer engine counted -- in both extent modes.
+  for (const bool cow : {true, false}) {
+    SCOPED_TRACE(cow ? "cow_extents=true" : "cow_extents=false");
+    auto run_once = [this, cow]() {
+      build_world(/*cache_on=*/true, cow);
+      arm("seed=99;transfer.export_item=0.5");
+      auto dst = vfs::Path().child("scratch").child("replay");
+      auto report = hybrid->checkout_hierarchy("p", "top", alice, dst);
+      const auto injected = faultsim::Injector::global().injected_by_site();
+      faultsim::Injector::global().disarm();
+      EXPECT_TRUE(report.ok());
+      auto failures = report.ok() ? report->failures : std::vector<std::string>{};
+      const auto stats = hybrid->transfer().stats_snapshot();
+      return std::make_tuple(report.ok() ? report->retries : 0u,
+                             report.ok() ? report->rolled_back : false, failures,
+                             tree_contents(hybrid->fs(), dst), injected, stats.exports,
+                             stats.bytes_exported, stats.bytes_exported_physical,
+                             stats.cache_hits, stats.cache_misses);
+    };
+    const auto first = run_once();
+    const auto second = run_once();
+    EXPECT_EQ(first, second);
+  }
 }
 
 TEST_F(FaultRecoveryTest, BatchDeadlineFailsLeftoverItemsWithTimeout) {
@@ -251,7 +237,7 @@ TEST_F(FaultRecoveryTest, BatchDeadlineFailsLeftoverItemsWithTimeout) {
   // rolls back.
   arm("transfer.export_item=1");
   auto dst = vfs::Path().child("scratch").child("deadline");
-  auto report = hybrid->checkout_hierarchy("p", "top", alice, dst, /*workers=*/1,
+  auto report = hybrid->checkout_hierarchy("p", "top", alice, dst, /*ignored=*/0,
                                            /*timeout_us=*/1);
   faultsim::Injector::global().disarm();
   ASSERT_TRUE(report.ok()) << report.error().to_text();
@@ -259,6 +245,49 @@ TEST_F(FaultRecoveryTest, BatchDeadlineFailsLeftoverItemsWithTimeout) {
   EXPECT_TRUE(report->rolled_back);
   EXPECT_GE(report->timeouts, 1u);
   EXPECT_TRUE(tree_contents(hybrid->fs(), dst).empty());
+}
+
+TEST_F(FaultRecoveryTest, LaneCountInTheFifthSlotArmsNoDeadline) {
+  // Callers that still pass a lane count (8) in checkout_hierarchy's
+  // fifth slot must get no deadline: bound to timeout_us, 8 us would
+  // expire during the 50 us backoff the first item's fault forces, and
+  // the checkout would time out and roll back.
+  build_world();
+  arm("transfer.export_item@1");
+  auto dst = vfs::Path().child("scratch").child("lanes");
+  auto report = hybrid->checkout_hierarchy("p", "top", alice, dst, 8);
+  faultsim::Injector::global().disarm();
+  ASSERT_TRUE(report.ok()) << report.error().to_text();
+  EXPECT_EQ(report->timeouts, 0u);
+  EXPECT_FALSE(report->rolled_back);
+  EXPECT_TRUE(report->failures.empty());
+  EXPECT_EQ(report->exported, 3u);
+  EXPECT_EQ(report->retries, 1u);
+  EXPECT_EQ(tree_contents(hybrid->fs(), dst).size(), 3u);
+}
+
+// A failure anywhere after start_activity aborts the execution: the
+// import is the last step before complete_activity, and a fault there
+// must not leave the activity running.
+TEST_F(FaultRecoveryTest, FailedActivityImportAbortsTheExecution) {
+  build_world();
+  ASSERT_TRUE(hybrid->create_cell("p", "spare", alice).ok());
+  ASSERT_TRUE(hybrid->reserve_cell("p", "spare", alice).ok());
+  auto& jcf = hybrid->jcf();
+  auto cell = *jcf.find_cell(*jcf.find_project("p"), "spare");
+  auto variant = *jcf.find_variant(*jcf.latest_cell_version(cell), "work");
+  auto enter = *jcf.find_activity("enter_schematic");
+
+  arm("transfer.import@1");
+  auto failed = hybrid->run_activity("p", "spare", "enter_schematic", alice, tiny_schematic());
+  faultsim::Injector::global().disarm();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.error().code, Errc::io_error);
+  EXPECT_NE(*jcf.activity_progress(variant, enter), jcf::ActivityProgress::running);
+
+  auto rerun = hybrid->run_activity("p", "spare", "enter_schematic", alice, tiny_schematic());
+  ASSERT_TRUE(rerun.ok()) << rerun.error().to_text();
+  EXPECT_EQ(*jcf.activity_progress(variant, enter), jcf::ActivityProgress::done);
 }
 
 TEST_F(FaultRecoveryTest, OmsCommitFaultLeavesTransactionAbortable) {
@@ -288,13 +317,13 @@ TEST_F(FaultRecoveryTest, OmsCommitFaultLeavesTransactionAbortable) {
 }
 
 // ---------------------------------------------------------------------------
-// TSan lane: parallel checkout workers racing injected faults. The
+// TSan lane: concurrent checkout callers racing injected faults. The
 // assertions are deliberately coarse (no torn files, counters add up);
 // the value is the data-race coverage of retry/rollback under load.
 
 TEST_F(FaultRecoveryTest, ParallelCheckoutStormUnderInjectedFaults) {
-  // Under COW every checkout runs inline; the padded cow_extents=false
-  // leg drives the same storm through executor lanes.
+  // The cow_extents=false leg runs the same storm with every export
+  // physically copying its payload.
   for (const bool cow : {true, false}) {
     SCOPED_TRACE(cow ? "cow_extents=true" : "cow_extents=false");
     build_world(/*cache_on=*/true, cow);
@@ -307,16 +336,15 @@ TEST_F(FaultRecoveryTest, ParallelCheckoutStormUnderInjectedFaults) {
     arm("seed=7;transfer.export_item=0.15");
     constexpr int kThreads = 4;
     constexpr int kRounds = 6;
-    const std::uint64_t tasks_before = executor_tasks();
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
-      // Each worker checks out into its OWN destination directory --
+      // Each caller checks out into its OWN destination directory --
       // concurrent checkouts into one directory would race on the
       // journal pre-images by design.
       threads.emplace_back([this, t] {
         auto dst = vfs::Path().child("scratch").child("storm" + std::to_string(t));
         for (int round = 0; round < kRounds; ++round) {
-          auto report = hybrid->checkout_hierarchy("p", "top", alice, dst, /*workers=*/4);
+          auto report = hybrid->checkout_hierarchy("p", "top", alice, dst);
           if (report.ok() && !report->failures.empty()) {
             // rolled-back attempt: the directory must be clean again
             EXPECT_TRUE(report->rolled_back);
@@ -326,9 +354,8 @@ TEST_F(FaultRecoveryTest, ParallelCheckoutStormUnderInjectedFaults) {
     }
     for (auto& thread : threads) thread.join();
     faultsim::Injector::global().disarm();
-    if (!cow) expect_fanned_out(executor_tasks() - tasks_before);
 
-    // Converge every lane with one fault-free pass, then require the
+    // Converge every caller with one fault-free pass, then require the
     // oracle tree everywhere: no torn or half-rolled-back state may
     // survive the storm.
     for (int t = 0; t < kThreads; ++t) {
@@ -336,110 +363,25 @@ TEST_F(FaultRecoveryTest, ParallelCheckoutStormUnderInjectedFaults) {
       auto last = hybrid->checkout_hierarchy("p", "top", alice, dst);
       ASSERT_TRUE(last.ok());
       EXPECT_TRUE(last->failures.empty());
-      EXPECT_EQ(tree_contents(fs, dst), want) << "lane " << t;
+      EXPECT_EQ(tree_contents(fs, dst), want) << "caller " << t;
     }
 
     if (!cow) {
       // Retries rarely run out at 15%, so end with a checkout whose
       // every attempt fails (3 items x 4 attempts): it must roll back
-      // to the pre-image while its lanes are in flight.
+      // to the pre-image it journaled.
       auto dst = vfs::Path().child("scratch").child("storm_rollback");
       ASSERT_TRUE(fs.mkdirs(dst).ok());
       ASSERT_TRUE(fs.write_file(dst.child("top_schematic"), "stale pre-image").ok());
       const auto pre_state = tree_contents(fs, dst);
       arm("transfer.export_item@1,2,3,4,5,6,7,8,9,10,11,12");
-      const std::uint64_t rollback_tasks_before = executor_tasks();
-      auto report = hybrid->checkout_hierarchy("p", "top", alice, dst, /*workers=*/4);
+      auto report = hybrid->checkout_hierarchy("p", "top", alice, dst);
       faultsim::Injector::global().disarm();
-      expect_fanned_out(executor_tasks() - rollback_tasks_before);
       ASSERT_TRUE(report.ok()) << report.error().to_text();
       EXPECT_EQ(report->failures.size(), 3u);
       EXPECT_TRUE(report->rolled_back);
       EXPECT_EQ(tree_contents(fs, dst), pre_state);
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Executor parity: running checkout lanes on the shared work-stealing
-// pool must change NOTHING observable.
-
-TEST_F(FaultRecoveryTest, CheckoutIsBitIdenticalAcrossWorkersAndExecutorLanes) {
-  // workers=1 runs inline on the caller (no pool at all). workers=8
-  // runs inline too under COW, and fans out on the shared executor in
-  // the cow_extents=false leg, whose padded exports cross the lane
-  // threshold. Identical worlds => identical trees, reports and stats.
-  for (const bool cow : {true, false}) {
-    SCOPED_TRACE(cow ? "cow_extents=true" : "cow_extents=false");
-    auto run = [this, cow](std::size_t workers) {
-      build_world(/*cache_on=*/true, cow);
-      auto dst = vfs::Path().child("scratch").child("det");
-      const std::uint64_t tasks_before = executor_tasks();
-      auto report = hybrid->checkout_hierarchy("p", "top", alice, dst, workers);
-      const std::uint64_t tasks = executor_tasks() - tasks_before;
-      EXPECT_TRUE(report.ok());
-      auto trees = tree_contents(hybrid->fs(), dst);
-      const auto stats = hybrid->transfer().stats_snapshot();
-      return std::make_pair(
-          std::make_tuple(trees, report.ok() ? report->exported : 0u,
-                          report.ok() ? report->cache_hits : 0u, stats.exports,
-                          stats.bytes_exported, stats.bytes_exported_physical,
-                          stats.cache_hits, stats.cache_misses),
-          tasks);
-    };
-    const auto [serial, serial_tasks] = run(1);
-    const auto [pooled, pooled_tasks] = run(8);
-    EXPECT_EQ(serial, pooled);
-    EXPECT_EQ(std::get<0>(serial).size(), 3u);
-    EXPECT_EQ(serial_tasks, 0u);
-    if (cow) {
-      EXPECT_EQ(pooled_tasks, 0u);
-    } else {
-      expect_fanned_out(pooled_tasks);
-    }
-  }
-}
-
-// Fault-injection parity on executor lanes: an armed plan draws the
-// SAME per-item decisions whether the items run inline (workers=1) or
-// on stolen executor lanes (workers=8 in the cow_extents=false leg),
-// because ordinal sets key on (seed, site, per-site ordinal) --
-// interleaving-invariant by design (docs/fault-injection.md). This is
-// the same property the pinned-seed fault-matrix CI leg locks down end
-// to end.
-TEST_F(FaultRecoveryTest, InjectedFaultCountsMatchAcrossExecutorLanes) {
-  // Explicit ordinals 1 and 2 fault. WHICH item draws them depends on
-  // lane interleaving, but both faults land in the consumed ordinal
-  // prefix and both retries succeed, so every aggregate -- injected
-  // counts, retries, failures, bytes on disk -- is invariant.
-  for (const bool cow : {true, false}) {
-    SCOPED_TRACE(cow ? "cow_extents=true" : "cow_extents=false");
-    auto run = [this, cow](std::size_t workers) {
-      build_world(/*cache_on=*/true, cow);
-      arm("transfer.export_item@1,2");
-      auto dst = vfs::Path().child("scratch").child("parity");
-      const std::uint64_t tasks_before = executor_tasks();
-      auto report = hybrid->checkout_hierarchy("p", "top", alice, dst, workers);
-      const std::uint64_t tasks = executor_tasks() - tasks_before;
-      const auto injected = faultsim::Injector::global().injected_by_site();
-      faultsim::Injector::global().disarm();
-      EXPECT_TRUE(report.ok());
-      EXPECT_TRUE(!report.ok() || report->failures.empty());
-      return std::make_pair(std::make_tuple(injected, report.ok() ? report->retries : 0u,
-                                            tree_contents(hybrid->fs(), dst)),
-                            tasks);
-    };
-    const auto [serial, serial_tasks] = run(1);
-    const auto [pooled, pooled_tasks] = run(8);
-    EXPECT_EQ(serial, pooled);
-    EXPECT_EQ(serial_tasks, 0u);
-    if (!cow) {
-      expect_fanned_out(pooled_tasks);
-    }
-    const auto& by_site = std::get<0>(serial);
-    ASSERT_EQ(by_site.size(), 1u);
-    EXPECT_EQ(by_site[0].first, "transfer.export_item");
-    EXPECT_EQ(by_site[0].second, 2u);
   }
 }
 

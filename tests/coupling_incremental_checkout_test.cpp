@@ -19,7 +19,6 @@
 
 #include "jfm/coupling/hybrid.hpp"
 #include "jfm/support/faultsim.hpp"
-#include "jfm/support/telemetry.hpp"
 #include "test_seed.hpp"
 
 namespace jfm::coupling {
@@ -224,16 +223,11 @@ TEST_F(IncrementalCheckoutTest, UnchangedRepeatSyncSkipsEverything) {
 // A sync counts its skips against the cursor in place: skipped is
 // |known| - |known ∩ delta| for the cursor as it stood before the sync,
 // whether the delta adds a cellview, re-exports a known one, or is
-// empty. And under COW no checkout reaches the executor, whatever
-// `workers` asks for: export_batch sizes lanes from physical work,
-// which shared extents make zero, and the journal always runs inline.
-TEST_F(IncrementalCheckoutTest, SkipCountMatchesTheCursorAndCowSyncsStayInline) {
+// empty.
+TEST_F(IncrementalCheckoutTest, SkipCountMatchesTheCursor) {
   World w = build_world(/*incremental_on=*/true);
-  auto& submitted =
-      support::telemetry::Registry::global().counter("executor.task.submitted.count");
-  const std::uint64_t tasks_before = submitted.value();
   const auto dst = vfs::Path().child("scratch").child("cow");
-  auto cold = w.hybrid->checkout_hierarchy("p", "top", w.alice, dst, /*workers=*/8);
+  auto cold = w.hybrid->checkout_hierarchy("p", "top", w.alice, dst);
   ASSERT_TRUE(cold.ok()) << cold.error().to_text();
   ASSERT_TRUE(cold->failures.empty());
   EXPECT_FALSE(cold->incremental);
@@ -247,7 +241,7 @@ TEST_F(IncrementalCheckoutTest, SkipCountMatchesTheCursorAndCowSyncsStayInline) 
     const auto& known = cursors.begin()->second.known;
     std::size_t known_in_delta = 0;
     for (const auto& label : delta) known_in_delta += known.count(label);
-    auto sync = w.hybrid->checkout_hierarchy("p", "top", w.alice, dst, /*workers=*/8);
+    auto sync = w.hybrid->checkout_hierarchy("p", "top", w.alice, dst);
     ASSERT_TRUE(sync.ok()) << sync.error().to_text();
     ASSERT_TRUE(sync->failures.empty());
     EXPECT_TRUE(sync->incremental);
@@ -274,7 +268,6 @@ TEST_F(IncrementalCheckoutTest, SkipCountMatchesTheCursorAndCowSyncsStayInline) 
     SCOPED_TRACE("empty delta");
     sync_and_check({});
   }
-  EXPECT_EQ(submitted.value(), tasks_before);
 }
 
 TEST_F(IncrementalCheckoutTest, FailedDeltaRollsBackAndLeavesTheCursorUnmoved) {

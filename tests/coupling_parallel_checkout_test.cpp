@@ -1,22 +1,15 @@
 // Parallel checkout under the reader-writer locking scheme
-// (docs/concurrency.md). Three angles:
+// (docs/concurrency.md). Two angles:
 //
 //   * raw-layer races: many threads hammer FileSystem::content_hash /
 //     read_file / stat on the same nodes while writers mutate disjoint
 //     paths -- the vfs rw-lock and the atomic hash memo must hold up
 //     under TSan;
-//   * the full storm: concurrent export_batch pools vs import_file vs
-//     a chaos thread flipping the cache and snapshotting stats;
-//   * a determinism guard: export_batch(items, workers=1) and
-//     workers=8 over identical fresh environments must produce the
-//     same Status vector, the same bytes on disk, the same stats and
-//     the same final cache -- parallelism must never change results.
-//
-// export_batch only fans out when its exports physically duplicate
-// bytes, so each engine-level test also runs a cow_extents=false leg
-// whose batches cross TransferEngine::kMinBytesPerLane and checks that
-// executor lanes really ran (wherever the process may use more than
-// one CPU: lanes are capped by that count).
+//   * the full storm: concurrent export_batch callers vs import_file vs
+//     a chaos thread flipping the cache and snapshotting stats, under
+//     COW extents and under the cow_extents=false ablation, where every
+//     export physically copies its payload.
+// Plus the zero-rehash warm path and the cache probe's hash memo.
 
 #include <gtest/gtest.h>
 
@@ -27,8 +20,6 @@
 #include <vector>
 
 #include "jfm/coupling/transfer.hpp"
-#include "jfm/support/executor.hpp"
-#include "jfm/support/telemetry.hpp"
 
 namespace jfm::coupling {
 namespace {
@@ -91,37 +82,13 @@ TEST(ParallelVfs, ConcurrentContentHashAndReadersRaceFree) {
 
 class ParallelCheckoutTest : public ::testing::Test {
  protected:
-  /// Per-object payload padding for the cow_extents=false legs: four
-  /// staged objects already carry two lanes' worth of physical bytes.
-  static constexpr std::size_t kLanePad = TransferEngine::kMinBytesPerLane / 4;
-
-  /// Seed payload of object `i`, `pad` bytes longer than the base size;
-  /// sizes vary so byte totals catch misrouted results.
-  static std::string payload(int i, std::size_t pad) {
-    return std::string(pad + 200 + 17 * static_cast<std::size_t>(i),
-                       static_cast<char>('a' + i % 26));
+  /// Seed payload of object `i`; sizes vary so byte totals catch
+  /// misrouted results.
+  static std::string payload(int i) {
+    return std::string(200 + 17 * static_cast<std::size_t>(i), static_cast<char>('a' + i % 26));
   }
 
-  /// Executor tasks submitted so far (process-wide counter).
-  static std::uint64_t executor_tasks() {
-    return support::telemetry::Registry::global()
-        .counter("executor.task.submitted.count")
-        .value();
-  }
-
-  /// A padded cow_extents=false batch with workers > 1 fans out
-  /// wherever the process may use more than one CPU: export_batch caps
-  /// its lanes at that count, so on one CPU it stays inline.
-  static void expect_fanned_out(std::uint64_t tasks) {
-    if (support::executor::Executor::usable_cpus() > 1) {
-      EXPECT_GT(tasks, 0u);
-    } else {
-      EXPECT_EQ(tasks, 0u);
-    }
-  }
-
-  // One self-contained environment. The determinism guard builds two
-  // and requires them byte-identical, so everything here is seeded.
+  // One self-contained, seeded environment.
   struct Env {
     support::SimClock clock;
     vfs::FileSystem fs;
@@ -130,7 +97,7 @@ class ParallelCheckoutTest : public ::testing::Test {
     std::vector<jcf::DesignObjectRef> dobjs;
     std::vector<jcf::DovRef> dovs;
 
-    explicit Env(int objects, bool cow = true, std::size_t pad = 0)
+    explicit Env(int objects, bool cow = true)
         : fs(&clock, vfs::FsOptions{.cow_extents = cow}) {
       EXPECT_TRUE(fs.mkdirs(vfs::Path().child("out")).ok());
       user = *jcf.create_user("alice");
@@ -149,7 +116,7 @@ class ParallelCheckoutTest : public ::testing::Test {
       for (int i = 0; i < objects; ++i) {
         auto vt = *jcf.create_viewtype("view" + std::to_string(i));
         dobjs.push_back(*jcf.create_design_object(variant, "do" + std::to_string(i), vt, user));
-        dovs.push_back(*jcf.create_dov(dobjs.back(), payload(i, pad), user));
+        dovs.push_back(*jcf.create_dov(dobjs.back(), payload(i), user));
       }
     }
   };
@@ -164,16 +131,14 @@ class ParallelCheckoutTest : public ::testing::Test {
   }
 };
 
-// The full storm, for the TSan lane: reader pools, an importer and a
-// chaos thread mixing cache maintenance with stats snapshots. Under COW
-// every batch runs inline on its reader thread; the cow_extents=false
-// leg pads the payloads so each cold batch fans out on executor lanes.
+// The full storm, for the TSan lane: reader threads, an importer and a
+// chaos thread mixing cache maintenance with stats snapshots. The
+// cow_extents=false leg makes every cold export copy its payload.
 TEST_F(ParallelCheckoutTest, ExportStormWithImportsAndCacheChaos) {
   for (const bool cow : {true, false}) {
     SCOPED_TRACE(cow ? "cow_extents=true" : "cow_extents=false");
     constexpr int kObjects = 8;
-    const std::size_t pad = cow ? 0 : kLanePad;
-    Env env(kObjects, cow, pad);
+    Env env(kObjects, cow);
     TransferOptions options;
     options.copy_through_filesystem = true;
     options.content_addressed_cache = true;
@@ -197,7 +162,7 @@ TEST_F(ParallelCheckoutTest, ExportStormWithImportsAndCacheChaos) {
     auto reader = [&](int id) {
       for (int round = 0; round < kBatchesPerReader; ++round) {
         auto items = requests(env, "r" + std::to_string(id) + "_");
-        auto results = engine.export_batch(items, 4);
+        auto results = engine.export_batch(items);
         for (const auto& st : results) {
           (st.ok() ? ok_exports : failed_exports).fetch_add(1, std::memory_order_relaxed);
         }
@@ -224,7 +189,6 @@ TEST_F(ParallelCheckoutTest, ExportStormWithImportsAndCacheChaos) {
       }
     };
 
-    const std::uint64_t tasks_before = executor_tasks();
     std::vector<std::thread> threads;
     for (int r = 0; r < kReaderThreads; ++r) threads.emplace_back(reader, r);
     threads.emplace_back(importer);
@@ -232,11 +196,6 @@ TEST_F(ParallelCheckoutTest, ExportStormWithImportsAndCacheChaos) {
     for (auto& t : threads) t.join();
     done.store(true, std::memory_order_release);
     chaos_thread.join();
-    // Each reader's first batch is cold (nothing cached for its
-    // destinations yet), so the padded leg must have fanned out.
-    if (!cow) {
-      expect_fanned_out(executor_tasks() - tasks_before);
-    }
 
     const auto stats = engine.stats_snapshot();
     const std::uint64_t expected =
@@ -255,88 +214,9 @@ TEST_F(ParallelCheckoutTest, ExportStormWithImportsAndCacheChaos) {
         auto content = env.fs.read_file(vfs::Path().child("out").child(
             "r" + std::to_string(r) + "_" + std::to_string(i)));
         ASSERT_TRUE(content.ok());
-        EXPECT_EQ(*content, payload(i, pad));
+        EXPECT_EQ(*content, payload(i));
       }
     }
-  }
-}
-
-// Determinism guard: the worker count is a throughput knob, never a
-// semantics knob. workers=1 and workers=8 over identical environments
-// must agree on every observable -- under COW, where both run inline,
-// and under cow_extents=false, where workers=8 fans the padded batch
-// out on executor lanes.
-TEST_F(ParallelCheckoutTest, WorkerCountDoesNotChangeResults) {
-  constexpr int kObjects = 16;
-  TransferOptions options;
-  options.copy_through_filesystem = true;
-  options.content_addressed_cache = true;
-  options.cache_capacity = 256;
-
-  for (const bool cow : {true, false}) {
-    SCOPED_TRACE(cow ? "cow_extents=true" : "cow_extents=false");
-    const std::size_t pad = cow ? 0 : kLanePad;
-    auto run = [&](std::size_t workers) {
-      auto env = std::make_unique<Env>(kObjects, cow, pad);
-      TransferEngine engine(&env->jcf, &env->fs, vfs::Path().child("xfer"), options);
-      auto items = requests(*env, "d");
-      // one deterministic failure: a destination under a missing directory
-      items.push_back({env->dovs[0], env->user,
-                       vfs::Path().child("no_such_dir").child("x")});
-      struct Outcome {
-        std::vector<support::Status> cold;
-        std::vector<support::Status> warm;
-        TransferStats stats;
-        std::size_t cache_entries;
-        std::vector<std::string> files;
-        std::uint64_t cold_tasks;
-      } out;
-      const std::uint64_t tasks_before = executor_tasks();
-      out.cold = engine.export_batch(items, workers);
-      out.cold_tasks = executor_tasks() - tasks_before;
-      out.warm = engine.export_batch(items, workers);  // second pass: cache hits
-      out.stats = engine.stats_snapshot();
-      out.cache_entries = engine.cache_size();
-      for (int i = 0; i < kObjects; ++i) {
-        auto content =
-            env->fs.read_file(vfs::Path().child("out").child("d" + std::to_string(i)));
-        EXPECT_TRUE(content.ok());
-        out.files.push_back(content.ok() ? *content : std::string());
-      }
-      return out;
-    };
-
-    const auto serial = run(1);
-    const auto parallel = run(8);
-
-    // workers=1 never touches the pool; the padded workers=8 batch does
-    // wherever more than one CPU is usable.
-    EXPECT_EQ(serial.cold_tasks, 0u);
-    if (!cow) {
-      expect_fanned_out(parallel.cold_tasks);
-    }
-
-    ASSERT_EQ(serial.cold.size(), parallel.cold.size());
-    for (std::size_t i = 0; i < serial.cold.size(); ++i) {
-      EXPECT_EQ(serial.cold[i].ok(), parallel.cold[i].ok()) << "cold item " << i;
-      EXPECT_EQ(serial.cold[i].code(), parallel.cold[i].code()) << "cold item " << i;
-      EXPECT_EQ(serial.warm[i].ok(), parallel.warm[i].ok()) << "warm item " << i;
-    }
-    // the one bad destination failed in both runs
-    EXPECT_FALSE(serial.cold.back().ok());
-    EXPECT_FALSE(parallel.cold.back().ok());
-
-    EXPECT_EQ(serial.files, parallel.files);
-    EXPECT_EQ(serial.cache_entries, parallel.cache_entries);
-    EXPECT_EQ(serial.stats.exports, parallel.stats.exports);
-    EXPECT_EQ(serial.stats.bytes_exported, parallel.stats.bytes_exported);
-    EXPECT_EQ(serial.stats.bytes_exported_physical, parallel.stats.bytes_exported_physical);
-    EXPECT_EQ(serial.stats.staging_copies, parallel.stats.staging_copies);
-    EXPECT_EQ(serial.stats.cache_hits, parallel.stats.cache_hits);
-    EXPECT_EQ(serial.stats.cache_misses, parallel.stats.cache_misses);
-    EXPECT_EQ(serial.stats.bytes_saved, parallel.stats.bytes_saved);
-    // and the warm pass hit for every good destination in both runs
-    EXPECT_EQ(serial.stats.cache_hits, static_cast<std::uint64_t>(kObjects));
   }
 }
 
@@ -352,11 +232,11 @@ TEST_F(ParallelCheckoutTest, WarmExportBatchReadsAndHashesZeroPayloadBytes) {
   options.content_addressed_cache = true;
   TransferEngine engine(&env.jcf, &env.fs, vfs::Path().child("xfer"), options);
   auto items = requests(env, "z");
-  for (const auto& st : engine.export_batch(items, 1)) ASSERT_TRUE(st.ok());
+  for (const auto& st : engine.export_batch(items)) ASSERT_TRUE(st.ok());
 
   const auto fs_before = env.fs.counters();
   const auto ws_before = env.jcf.workspace_stats();
-  auto warm = engine.export_batch(items, 1);
+  auto warm = engine.export_batch(items);
   for (const auto& st : warm) EXPECT_TRUE(st.ok());
   const auto fs_after = env.fs.counters();
   const auto ws_after = env.jcf.workspace_stats();
@@ -381,7 +261,7 @@ TEST_F(ParallelCheckoutTest, CacheProbeMemoizesSoSecondProbeIsFree) {
   options.content_addressed_cache = true;
   TransferEngine engine(&env.jcf, &env.fs, vfs::Path().child("xfer"), options);
   auto items = requests(env, "p");
-  ASSERT_TRUE(engine.export_batch(items, 1)[0].ok());
+  ASSERT_TRUE(engine.export_batch(items)[0].ok());
 
   // Out-of-band rewrite with the SAME bytes: contents unchanged, but
   // write_file cannot know that, so the node's hash memo is dropped.

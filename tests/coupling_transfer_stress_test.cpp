@@ -1,4 +1,4 @@
-// Concurrency stress: export_batch worker pools on several threads,
+// Concurrency stress: export_batch callers on several threads,
 // exporting overlapping DOV sets, while a writer imports new versions
 // through the same engine. Run under ThreadSanitizer in CI; the
 // assertions check that no TransferStats count is torn and every
@@ -100,7 +100,7 @@ TEST_F(TransferStressTest, ConcurrentBatchExportsAndImportsKeepStatsCoherent) {
                          vfs::Path().child("out").child("r" + std::to_string(reader_id) +
                                                         "_d" + std::to_string(i))});
       }
-      auto results = engine.export_batch(items, 4);
+      auto results = engine.export_batch(items);
       for (const auto& st : results) {
         (st.ok() ? ok_exports : failed_exports).fetch_add(1, std::memory_order_relaxed);
       }
@@ -153,7 +153,7 @@ TEST_F(TransferStressTest, ConcurrentBatchExportsAndImportsKeepStatsCoherent) {
   }
 }
 
-TEST_F(TransferStressTest, ParallelBatchOnColdCacheIsExact) {
+TEST_F(TransferStressTest, BatchOnColdCacheIsExact) {
   TransferEngine engine(&jcf, &fs, vfs::Path().child("xfer"),
                         TransferOptions{.copy_through_filesystem = true});
   std::vector<ExportRequest> items;
@@ -168,7 +168,7 @@ TEST_F(TransferStressTest, ParallelBatchOnColdCacheIsExact) {
                                                       std::to_string(i))});
     }
   }
-  auto results = engine.export_batch(items, 8);
+  auto results = engine.export_batch(items);
   for (std::size_t i = 0; i < results.size(); ++i) EXPECT_TRUE(results[i].ok()) << i;
   const auto stats = engine.stats_snapshot();
   EXPECT_EQ(stats.exports, items.size());

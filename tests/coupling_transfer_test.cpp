@@ -305,7 +305,7 @@ TEST_F(TransferTest, ExportBatchDeliversPerItemResults) {
     items.push_back({v1, user, vfs::Path().child("out").child("b" + std::to_string(i))});
   }
   items.push_back({v1, user, vfs::Path().child("nodir").child("x")});  // fails
-  auto results = engine.export_batch(items, 3);
+  auto results = engine.export_batch(items);
   ASSERT_EQ(results.size(), items.size());
   for (int i = 0; i < 6; ++i) {
     EXPECT_TRUE(results[i].ok()) << i;

@@ -77,23 +77,6 @@ TEST_F(WorkspaceTest, UnpublishedDataVisibleOnlyToHolder) {
   EXPECT_EQ(*jcf.dov_data(dov, outsider), "secret design");
 }
 
-TEST_F(WorkspaceTest, DovSizeIsPlanningMetadataNotARead) {
-  // dov_size answers for unpublished data too -- the change feed shows
-  // the same size -- and neither counts a read nor a denial.
-  ASSERT_TRUE(jcf.reserve(cv, alice).ok());
-  auto variant = *jcf.create_variant(cv, "work", alice);
-  auto dobj = *jcf.create_design_object(variant, "schematic", vt, alice);
-  auto dov = *jcf.create_dov(dobj, "secret design", alice);
-  const auto before = jcf.workspace_stats();
-  auto size = jcf.dov_size(dov);
-  ASSERT_TRUE(size.ok());
-  EXPECT_EQ(*size, std::string("secret design").size());
-  const auto after = jcf.workspace_stats();
-  EXPECT_EQ(after.dov_read_bytes_logical, before.dov_read_bytes_logical);
-  EXPECT_EQ(after.read_denials, before.read_denials);
-  EXPECT_EQ(jcf.dov_size(DovRef(dobj.id)).code(), Errc::not_found);
-}
-
 TEST_F(WorkspaceTest, PublishReleasesReservation) {
   ASSERT_TRUE(jcf.reserve(cv, alice).ok());
   ASSERT_TRUE(jcf.publish(cv, alice).ok());

@@ -4,18 +4,18 @@
 // epoch index without scanning; aborted transactions restore the
 // stamps they disturbed, so a cursor taken before the transaction sees
 // an empty delta afterwards. The final test is the TSan target for the
-// feed: readers iterate objects_changed_since() while writer threads
-// commit bursts through the shared executor.
+// feed: reader threads iterate objects_changed_since() while writer
+// threads commit bursts.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "jfm/oms/store.hpp"
-#include "jfm/support/executor.hpp"
 
 namespace jfm::oms {
 namespace {
@@ -149,35 +149,43 @@ TEST_F(EpochTest, EpochIndexIsMaintainedWithSecondaryIndexesDisabled) {
 }
 
 TEST_F(EpochTest, FeedReadersRaceCommitBurstsCleanly) {
-  // TSan target: four writer lanes commit create/set bursts while four
-  // reader lanes iterate the feed through the shared executor. The
-  // assertions are deliberately weak -- the point is that every access
-  // to the epoch index happens under the store lock.
-  auto& exec = support::executor::Executor::global();
-  constexpr std::size_t kLanes = 8;
+  // TSan target: four writer threads commit create/set bursts while
+  // four reader threads iterate the feed. The assertions are
+  // deliberately weak -- the point is that every access to the epoch
+  // index happens under the store lock.
+  constexpr int kWriters = 4;
+  constexpr int kReaders = 4;
   constexpr int kRounds = 64;
   std::atomic<std::uint64_t> seen{0};
-  std::atomic<std::size_t> next_lane{0};
-  exec.run_lanes(kLanes, [&]() {
-    const std::size_t lane = next_lane.fetch_add(1);
-    if (lane < kLanes / 2) {
+  std::atomic<int> writers_left{kWriters};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
       for (int i = 0; i < kRounds; ++i) {
         auto id = store.create("Node");
         if (!id.ok()) continue;
-        (void)store.set(*id, "weight",
-                        AttrValue(static_cast<std::int64_t>(lane * kRounds + i)));
+        (void)store.set(*id, "weight", AttrValue(static_cast<std::int64_t>(w * kRounds + i)));
         if (i % 8 == 0) (void)store.destroy(*id);
       }
-    } else {
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      // Read until one pass starts after the last writer finished, so
+      // every surviving object is seen whatever the scheduling.
       std::uint64_t cursor = 0;
-      for (int i = 0; i < kRounds; ++i) {
+      for (int i = 0;; ++i) {
+        const bool writers_done = writers_left.load() == 0;
         const std::uint64_t now = store.epoch();
         auto changed = store.objects_changed_since("Node", cursor);
         for (const auto& c : changed) seen.fetch_add(c.modified != 0 ? 1 : 0);
         cursor = now;
+        if (writers_done && i >= kRounds) break;
       }
-    }
-  });
+    });
+  }
+  for (auto& t : threads) t.join();
   EXPECT_GT(seen.load(), 0u);
   EXPECT_EQ(store.objects_changed_since("Node", store.epoch()).size(), 0u);
 }

@@ -231,29 +231,6 @@ TEST(TracerTest, NestedSpansLinkToTheirParent) {
   tracer.disable();
 }
 
-TEST(TracerTest, ExplicitParentStitchesWorkerThreads) {
-  auto& tracer = Tracer::global();
-  tracer.enable();
-  std::uint64_t batch_id = 0;
-  std::uint64_t worker_id = 0;
-  {
-    ScopedSpan batch("coupling", "batch");
-    batch_id = batch.id();
-    std::thread worker([&]() {
-      // A fresh thread has no implicit parent; without the explicit id
-      // this span would be an orphan root.
-      ScopedSpan lane("coupling", "worker", batch_id);
-      worker_id = lane.id();
-    });
-    worker.join();
-  }
-  auto spans = tracer.snapshot();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].id, worker_id);
-  EXPECT_EQ(spans[0].parent, batch_id);
-  tracer.disable();
-}
-
 TEST(TracerTest, RingBufferWrapsAndCountsDrops) {
   auto& tracer = Tracer::global();
   tracer.enable(4);

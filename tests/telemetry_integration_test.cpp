@@ -121,12 +121,9 @@ TEST_F(TelemetryIntegrationTest, TracedCheckoutNestsSpansCorrectly) {
   EXPECT_EQ(dov_data->parent, export_span->id);
   EXPECT_EQ(read_blob->subsystem, "oms");
   EXPECT_EQ(read_blob->parent, dov_data->id);
-  // The export chain hangs off the batch span, directly or through a
-  // worker-lane span (multi-threaded pools stitch with explicit ids).
-  const bool export_under_batch =
-      export_span->parent == batch->id ||
-      (find("transfer.worker") != nullptr && export_span->parent == find("transfer.worker")->id);
-  EXPECT_TRUE(export_under_batch);
+  // The batch runs on the caller's thread: the export chain hangs
+  // directly off the batch span.
+  EXPECT_EQ(export_span->parent, batch->id);
 }
 
 TEST_F(TelemetryIntegrationTest, SimulateActivityNestsToolsSpansUnderRunActivity) {
