@@ -8,9 +8,17 @@
 //  * the future-work "procedural interface" removes the manual steps
 //    (ablation);
 //  * isomorphic hierarchies pass; non-isomorphic ones are rejected by
-//    JCF 3.0 and admitted only with the future-JCF extension.
+//    JCF 3.0 and admitted only with the future-JCF extension;
+//  * whole-hierarchy analysis is the standing price of a declared
+//    hierarchy: report_timing on a 341-cell top, with its split
+//    (JFM_STA line).
+
+#include <algorithm>
+#include <chrono>
 
 #include "bench_util.hpp"
+#include "jfm/coupling/resolvers.hpp"
+#include "jfm/tools/timing.hpp"
 #include "jfm/workload/generators.hpp"
 
 namespace {
@@ -51,6 +59,69 @@ support::Result<bool> try_diverged_layout(coupling::HybridFramework& hybrid,
     }
   }
   return false;
+}
+
+// report_timing on the top of the flowbench-shaped hierarchy (depth 4,
+// fanout 4, 32 leaf gates: 341 cells), whole and split into its public
+// steps: the resolver (JCF lookups, payload reads, DesignFile and
+// Schematic parsing), elaboration outside the resolver, and
+// analyze_timing. Each figure is its own minimum over kStaRuns runs.
+void print_sta_report() {
+  constexpr int kStaRuns = 21;
+  using Clock = std::chrono::steady_clock;
+  auto us = [](Clock::duration d) { return std::chrono::duration<double, std::micro>(d).count(); };
+  benchutil::header("s3.3: whole-hierarchy STA (report_timing on the top cell)");
+  workload::HierarchySpec spec;
+  spec.depth = 4;
+  spec.fanout = 4;
+  spec.leaf_gates = 32;
+  benchutil::HybridEnv env;
+  auto top = workload::build_hierarchical_design(env.hybrid, "proj", spec, env.alice);
+  auto project = env.hybrid.jcf().find_project("proj");
+  if (!top.ok() || !project.ok()) {
+    benchutil::row("build failed");
+    return;
+  }
+  double total = 1e300, resolve = 1e300, elaborate = 1e300, timing = 1e300;
+  std::size_t signals = 0, gates = 0;
+  for (int run = 0; run < kStaRuns; ++run) {
+    auto start = Clock::now();
+    auto report = env.hybrid.report_timing("proj", *top, env.alice);
+    total = std::min(total, us(Clock::now() - start));
+
+    auto inner = coupling::make_jcf_resolver(&env.hybrid.jcf(), *project, env.alice);
+    Clock::duration in_resolver{};
+    tools::SchematicResolver resolver = [&](const fmcad::CellViewKey& key) {
+      auto t0 = Clock::now();
+      auto sch = inner(key);
+      in_resolver += Clock::now() - t0;
+      return sch;
+    };
+    auto t0 = Clock::now();
+    auto sch = resolver({*top, "schematic"});
+    if (!sch.ok()) std::abort();
+    auto circuit = tools::elaborate(*sch, *top, resolver);
+    auto t1 = Clock::now();
+    if (!circuit.ok()) std::abort();
+    auto replay = tools::analyze_timing(*circuit);
+    auto t2 = Clock::now();
+    if (!report.ok() || !replay.ok() || replay->critical_path != report->critical_path) {
+      std::abort();
+    }
+    resolve = std::min(resolve, us(in_resolver));
+    elaborate = std::min(elaborate, us(t1 - t0 - in_resolver));
+    timing = std::min(timing, us(t2 - t1));
+    signals = circuit->signal_count();
+    gates = circuit->gates.size();
+  }
+  const std::size_t cells = workload::hierarchy_cell_names(spec).size();
+  std::printf("  %5s | %7s | %5s | %16s | %13s | %12s | %9s\n", "cells", "signals", "gates",
+              "report_timing us", "resolve+parse", "elaborate us", "timing us");
+  std::printf("  %5zu | %7zu | %5zu | %16.0f | %13.0f | %12.0f | %9.0f\n", cells, signals, gates,
+              total, resolve, elaborate, timing);
+  std::printf("JFM_STA cells=%zu signals=%zu gates=%zu runs=%d report_timing_us=%.0f "
+              "resolve_parse_us=%.0f elaborate_us=%.0f timing_us=%.0f\n",
+              cells, signals, gates, kStaRuns, total, resolve, elaborate, timing);
 }
 
 void print_report() {
@@ -106,6 +177,8 @@ void print_report() {
       benchutil::row(label + (*accepted ? "diverged layout ACCEPTED" : "diverged layout REJECTED (not_supported)"));
     }
   }
+
+  print_sta_report();
 }
 
 // ---- micro-benchmarks -------------------------------------------------------

@@ -2,7 +2,8 @@
 """Run every bench binary and collect its metrics into BENCH_*.json.
 
 Each bench prints a human-readable report table, optional
-machine-readable ``JFM_PARALLEL_CHECKOUT`` lines, and one
+machine-readable ``JFM_PARALLEL_CHECKOUT`` (and similar ``JFM_*``)
+lines, and one
 ``JFM_METRICS <name> <json>`` line carrying the full telemetry
 registry snapshot (counters / gauges / histograms). This harness:
 
@@ -94,6 +95,10 @@ WAL_RE = re.compile(
 WAL_META_RE = re.compile(
     r"^JFM_WAL_META\s+commits=(\d+)\s+group=(\d+)\s+overhead_wal=(-?[\d.]+)"
     r"\s+overhead_group=(-?[\d.]+)\s*$")
+STA_RE = re.compile(
+    r"^JFM_STA\s+cells=(\d+)\s+signals=(\d+)\s+gates=(\d+)\s+runs=(\d+)"
+    r"\s+report_timing_us=(\d+)\s+resolve_parse_us=(\d+)\s+elaborate_us=(\d+)"
+    r"\s+timing_us=(\d+)\s*$")
 
 
 def discover(build_dir):
@@ -133,6 +138,7 @@ def parse_output(text):
     incr_meta = None
     wal_rows = []
     wal_meta = None
+    sta_rows = []
     for line in text.splitlines():
         m = METRICS_RE.match(line)
         if m:
@@ -248,8 +254,14 @@ def parse_output(text):
                 "overhead_wal": float(m.group(3)),
                 "overhead_group": float(m.group(4)),
             }
+            continue
+        m = STA_RE.match(line)
+        if m:
+            keys = ("cells", "signals", "gates", "runs", "report_timing_us",
+                    "resolve_parse_us", "elaborate_us", "timing_us")
+            sta_rows.append({key: int(value) for key, value in zip(keys, m.groups())})
     return (metrics, rows, meta, query_rows, query_meta, fault_rows, fault_meta,
-            cow_rows, cow_meta, incr_rows, incr_meta, wal_rows, wal_meta)
+            cow_rows, cow_meta, incr_rows, incr_meta, wal_rows, wal_meta, sta_rows)
 
 
 def main():
@@ -326,7 +338,7 @@ def main():
             sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
             continue
         (metrics, rows, meta, query_rows, query_meta, f_rows, f_meta,
-         c_rows, c_meta, i_rows, i_meta, w_rows, w_meta) = parse_output(proc.stdout)
+         c_rows, c_meta, i_rows, i_meta, w_rows, w_meta, s_rows) = parse_output(proc.stdout)
         blob = {
             "bench": name,
             "quick": args.quick,
@@ -350,6 +362,8 @@ def main():
         if w_rows:
             blob["wal_overhead"] = {"runs": w_rows, "meta": w_meta}
             wal_rows, wal_meta = w_rows, w_meta
+        if s_rows:
+            blob["s33_sta"] = {"runs": s_rows}
         out = os.path.join(args.out_dir, f"BENCH_{name}.json")
         with open(out, "w") as fh:
             json.dump(blob, fh, indent=2, sort_keys=True)

@@ -32,7 +32,10 @@ tools::SchematicResolver make_jcf_resolver(jcf::JcfFramework* jcf, jcf::ProjectR
 /// default-version binding cannot offer (s1, s2.2): a simulation run
 /// against a frozen configuration is reproducible even after the design
 /// moves on. Members not found in the configuration fall back to
-/// `fallback` when provided, else fail.
+/// `fallback` when provided, else fail. When two members name one
+/// (cell, view), the first in member order wins. The resolver indexes the
+/// members once per store epoch, so a call costs one lookup and a member
+/// pinned after the resolver was made is still seen.
 tools::SchematicResolver make_jcf_config_resolver(jcf::JcfFramework* jcf, jcf::ConfigRef config,
                                                   jcf::UserRef reader,
                                                   tools::SchematicResolver fallback = nullptr);

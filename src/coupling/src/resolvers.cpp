@@ -1,5 +1,10 @@
 #include "jfm/coupling/resolvers.hpp"
 
+#include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
+
 namespace jfm::coupling {
 
 using support::Errc;
@@ -83,28 +88,56 @@ tools::SchematicResolver make_jcf_resolver(jcf::JcfFramework* jcf, jcf::ProjectR
 tools::SchematicResolver make_jcf_config_resolver(jcf::JcfFramework* jcf, jcf::ConfigRef config,
                                                   jcf::UserRef reader,
                                                   tools::SchematicResolver fallback) {
-  return [jcf, config, reader,
+  // The members keyed by (cell, view), the first member of a key winning.
+  // Built on first use and again whenever the store's epoch has moved,
+  // so that a member pinned after the resolver was made is seen.
+  struct Members {
+    std::mutex mu;
+    bool built = false;
+    std::uint64_t epoch = 0;
+    std::map<fmcad::CellViewKey, jcf::DovRef> by_key;
+
+    support::Status refresh(jcf::JcfFramework& jcf, jcf::ConfigRef config) {
+      const std::uint64_t now = jcf.store().epoch();
+      if (built && epoch == now) return {};
+      auto dovs = jcf.config_members(config);
+      if (!dovs.ok()) return support::Status(dovs.error());
+      by_key.clear();
+      for (auto dov : *dovs) {
+        // walk up: design object -> variant -> cell version -> cell name
+        auto dobj = jcf.design_object_of(dov);
+        if (!dobj.ok()) continue;
+        auto dobj_name = jcf.name_of(dobj->id);
+        if (!dobj_name.ok()) continue;
+        auto variants = jcf.store().sources(jcf::rel::variant_do, dobj->id);
+        if (!variants.ok() || variants->empty()) continue;
+        auto cv = jcf.cell_version_of(jcf::VariantRef(variants->front()));
+        if (!cv.ok()) continue;
+        auto cell = jcf.cell_of(*cv);
+        if (!cell.ok()) continue;
+        auto cell_name = jcf.name_of(cell->id);
+        if (!cell_name.ok()) continue;
+        by_key.try_emplace({*cell_name, *dobj_name}, dov);
+      }
+      built = true;
+      epoch = now;
+      return {};
+    }
+  };
+  return [jcf, config, reader, members = std::make_shared<Members>(),
           fallback = std::move(fallback)](const fmcad::CellViewKey& key)
              -> Result<tools::Schematic> {
-    auto members = jcf->config_members(config);
-    if (!members.ok()) {
-      return Result<tools::Schematic>::failure(members.error().code, members.error().message);
+    std::optional<jcf::DovRef> pinned;
+    {
+      std::lock_guard<std::mutex> lock(members->mu);
+      if (auto st = members->refresh(*jcf, config); !st.ok()) {
+        return Result<tools::Schematic>::failure(st.error().code, st.error().message);
+      }
+      auto it = members->by_key.find(key);
+      if (it != members->by_key.end()) pinned = it->second;
     }
-    for (auto dov : *members) {
-      auto dobj = jcf->design_object_of(dov);
-      if (!dobj.ok()) continue;
-      auto dobj_name = jcf->name_of(dobj->id);
-      if (!dobj_name.ok() || *dobj_name != key.view) continue;
-      // walk up: design object -> variant -> cell version -> cell name
-      auto variants = jcf->store().sources(jcf::rel::variant_do, dobj->id);
-      if (!variants.ok() || variants->empty()) continue;
-      auto cv = jcf->cell_version_of(jcf::VariantRef(variants->front()));
-      if (!cv.ok()) continue;
-      auto cell = jcf->cell_of(*cv);
-      if (!cell.ok()) continue;
-      auto cell_name = jcf->name_of(cell->id);
-      if (!cell_name.ok() || *cell_name != key.cell) continue;
-      auto data = jcf->dov_data(dov, reader);
+    if (pinned) {
+      auto data = jcf->dov_data(*pinned, reader);
       if (!data.ok()) {
         return Result<tools::Schematic>::failure(data.error().code, data.error().message);
       }

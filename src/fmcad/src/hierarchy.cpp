@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "jfm/support/strings.hpp"
+#include "jfm/support/telemetry.hpp"
 
 namespace jfm::fmcad {
 
@@ -20,6 +21,7 @@ std::string DesignFile::serialize() const {
 }
 
 Result<DesignFile> DesignFile::parse(const std::string& text) {
+  JFM_SPAN("fmcad", "design_file.parse");
   auto fail = [](const std::string& why) {
     return Result<DesignFile>::failure(Errc::parse_error, "design file: " + why);
   };

@@ -1,4 +1,5 @@
 #include "internal.hpp"
+#include "jfm/support/telemetry.hpp"
 
 namespace jfm::jcf {
 
@@ -12,6 +13,7 @@ using support::Result;
 // files -- cannot even express.
 
 Result<std::vector<std::string>> JcfFramework::check_consistency(ProjectRef project) const {
+  JFM_SPAN("jcf", "check_consistency");
   if (auto st = detail::expect(store_, project, cls::Project); !st.ok()) {
     return Result<std::vector<std::string>>::failure(st.error().code, st.error().message);
   }

@@ -3,13 +3,12 @@
 // engine). Works on a flat Circuit produced by the elaborator.
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "jfm/support/id_table.hpp"
 #include "jfm/support/result.hpp"
 #include "jfm/tools/logic.hpp"
 
@@ -24,14 +23,6 @@ struct CircuitGate {
   SimTime delay = 1;            ///< propagation delay in ticks
 };
 
-/// Transparent string hash: lookups by string_view build no key.
-struct SignalNameHash {
-  using is_transparent = void;
-  std::size_t operator()(std::string_view name) const noexcept {
-    return std::hash<std::string_view>{}(name);
-  }
-};
-
 struct Circuit {
   std::vector<std::string> signal_names;  ///< index = signal id
   std::vector<CircuitGate> gates;
@@ -40,14 +31,16 @@ struct Circuit {
   int add_signal(std::string_view name);         ///< existing id if present; O(1)
   std::size_t signal_count() const { return signal_names.size(); }
 
-  /// Name -> id index, kept by add_signal. find_signal answers from it
-  /// alone, so signal_names must only grow through add_signal.
-  std::unordered_map<std::string, int, SignalNameHash, std::equal_to<>> signal_index;
-
   /// Signals not driven by any gate output (primary inputs).
   std::vector<int> undriven_signals() const;
   /// Each signal must be driven by at most one gate.
   support::Status check_single_driver() const;
+
+ private:
+  /// Signal ids hashed by name and probed against signal_names, kept by
+  /// add_signal. find_signal answers from it alone, so signal_names must
+  /// only grow through add_signal.
+  support::IdTable signal_ids_;
 };
 
 struct SignalChange {

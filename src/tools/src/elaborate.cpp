@@ -1,10 +1,9 @@
 #include "jfm/tools/elaborate.hpp"
 
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "jfm/support/telemetry.hpp"
+#include "schematic_index.hpp"
 
 namespace jfm::tools {
 
@@ -13,17 +12,6 @@ using support::Result;
 using support::Status;
 
 namespace {
-
-/// Net or port name -> signal id within one scope. Keys are views into
-/// the schematic being flattened, which outlives its scope: a child
-/// schematic stays in its parent's frame for the whole recursive call.
-using NetIds = std::unordered_map<std::string_view, int>;
-
-/// One connection seen from its element.
-struct PinNet {
-  std::string_view pin;
-  std::string_view net;
-};
 
 struct Elaborator {
   const SchematicResolver& resolver;
@@ -46,37 +34,33 @@ struct Elaborator {
     return id;
   }
 
-  /// Flatten one schematic at `path`. `port_signals` maps the
-  /// schematic's port names to already-created parent signal ids.
-  Status flatten(const Schematic& sch, const NetIds& port_signals, int depth) {
+  /// Flatten one schematic at `path`. `index` and `valid` are what
+  /// SchematicIndex::build gave for it. `net_signals` has one entry per
+  /// net: the parent signal that a connected port aliases, else -1.
+  Status flatten(const Schematic& sch, const detail::SchematicIndex& index, const Status& valid,
+                 std::vector<int>& net_signals, int depth) {
     if (depth > 32) {
       return support::fail(Errc::consistency_violation, "hierarchy deeper than 32 levels");
     }
-    if (auto st = sch.validate(); !st.ok()) return st;
+    if (!valid.ok()) return valid;
 
-    // Ports alias parent signals; unconnected ports fall through and get
-    // a local signal like every other net.
-    NetIds net_ids;
-    net_ids.reserve(sch.nets.size());
-    for (const auto& port : sch.ports) {
-      auto it = port_signals.find(port.name);
-      if (it != port_signals.end()) net_ids.emplace(port.name, it->second);
-    }
-    for (const auto& net : sch.nets) {
-      if (!net_ids.contains(net)) net_ids.emplace(net, signal(net));
+    // Ports alias parent signals; every other net, unconnected ports
+    // included, gets a local signal.
+    for (std::size_t n = 0; n < sch.nets.size(); ++n) {
+      if (net_signals[n] < 0) net_signals[n] = signal(sch.nets[n]);
     }
 
-    // element -> its connections, in connection order
-    std::unordered_map<std::string_view, std::vector<PinNet>> pins;
-    pins.reserve(sch.primitives.size() + sch.instances.size());
-    for (const auto& conn : sch.connections) pins[conn.element].push_back({conn.pin, conn.net});
-
-    for (const auto& prim : sch.primitives) {
-      const auto& element_pins = pins[prim.name];
-      auto pin_signal = [&](std::string_view pin) {
-        for (const auto& p : element_pins) {
-          if (p.pin == pin) return net_ids.at(p.net);
-        }
+    const std::size_t prims = sch.primitives.size();
+    for (std::size_t k = 0; k < prims; ++k) {
+      const Primitive& prim = sch.primitives[k];
+      // The net on each of the gate's pin slots, -1 where unconnected.
+      int slot_nets[detail::SchematicIndex::kMaxGatePins] = {-1, -1, -1};
+      for (int c : index.pins_of(k)) {
+        const auto& pin = index.pin(static_cast<std::size_t>(c));
+        slot_nets[pin.slot] = pin.net;
+      }
+      auto pin_signal = [&](std::size_t slot, std::string_view pin) {
+        if (slot_nets[slot] >= 0) return net_signals[static_cast<std::size_t>(slot_nets[slot])];
         // Unconnected pin: give it a dedicated X-valued signal.
         return signal(prim.name, pin);
       };
@@ -84,42 +68,44 @@ struct Elaborator {
       gate.type = prim.gate;
       const auto inputs = gate_input_pins(prim.gate);
       gate.inputs.reserve(inputs.size());
-      for (std::string_view pin : inputs) gate.inputs.push_back(pin_signal(pin));
-      gate.output = pin_signal(gate_output_pin(prim.gate));
+      for (std::size_t i = 0; i < inputs.size(); ++i) gate.inputs.push_back(pin_signal(i, inputs[i]));
+      gate.output = pin_signal(inputs.size(), gate_output_pin(prim.gate));
       circuit.gates.push_back(std::move(gate));
     }
 
-    for (const auto& inst : sch.instances) {
+    for (std::size_t i = 0; i < sch.instances.size(); ++i) {
+      const SchInstance& inst = sch.instances[i];
       auto child = resolver({inst.master_cell, inst.master_view});
       if (!child.ok()) {
         return support::fail(child.error().code,
                              "instance " + path + inst.name + " (" + inst.master_cell + "/" +
                                  inst.master_view + "): " + child.error().message);
       }
+      detail::SchematicIndex child_index;
+      const Status child_valid = child_index.build(*child);
       // Map the child's ports to this scope's nets via the instance pins.
       // A pin the master does not declare is an error; the one reported
       // is the first in pin-name order.
-      std::unordered_set<std::string_view> declared;
-      for (const auto& port : child->ports) declared.insert(port.name);
-      NetIds child_ports;
-      const PinNet* undeclared = nullptr;
-      for (const auto& p : pins[inst.name]) {
-        if (declared.contains(p.pin)) {
-          child_ports.emplace(p.pin, net_ids.at(p.net));
-        } else if (undeclared == nullptr || p.pin < undeclared->pin) {
-          undeclared = &p;
+      std::vector<int> child_nets(child->nets.size(), -1);
+      const Connection* undeclared = nullptr;
+      for (int c : index.pins_of(prims + i)) {
+        const Connection& conn = sch.connections[static_cast<std::size_t>(c)];
+        if (child_index.find_port(conn.pin) < 0) {
+          if (undeclared == nullptr || conn.pin < undeclared->pin) undeclared = &conn;
+        } else if (child_valid.ok()) {
+          child_nets[static_cast<std::size_t>(child_index.find_net(conn.pin))] =
+              net_signals[static_cast<std::size_t>(index.pin(static_cast<std::size_t>(c)).net)];
         }
       }
       if (undeclared != nullptr) {
         return support::fail(Errc::consistency_violation,
-                             "instance " + path + inst.name + " connects pin " +
-                                 std::string(undeclared->pin) + " that master " +
-                                 inst.master_cell + " does not declare");
+                             "instance " + path + inst.name + " connects pin " + undeclared->pin +
+                                 " that master " + inst.master_cell + " does not declare");
       }
       const std::size_t scope = path.size();
       path += inst.name;
       path += '/';
-      auto st = flatten(*child, child_ports, depth + 1);
+      auto st = flatten(*child, child_index, child_valid, child_nets, depth + 1);
       path.resize(scope);
       if (!st.ok()) return st;
     }
@@ -134,7 +120,10 @@ Result<Circuit> elaborate(const Schematic& top, const std::string& top_name,
   JFM_SPAN("tools", "elaborate");
   (void)top_name;  // kept for symmetric APIs; top nets are unprefixed
   Elaborator elab{resolver, {}, {}};
-  if (auto st = elab.flatten(top, {}, 0); !st.ok()) {
+  detail::SchematicIndex index;
+  const Status valid = index.build(top);
+  std::vector<int> net_signals(top.nets.size(), -1);
+  if (auto st = elab.flatten(top, index, valid, net_signals, 0); !st.ok()) {
     return Result<Circuit>::failure(st.error().code, st.error().message);
   }
   if (auto st = elab.circuit.check_single_driver(); !st.ok()) {

@@ -1,11 +1,11 @@
 #include "jfm/tools/schematic.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "jfm/support/strings.hpp"
+#include "jfm/support/telemetry.hpp"
+#include "schematic_index.hpp"
 
 namespace jfm::tools {
 
@@ -63,26 +63,70 @@ std::string Schematic::serialize() const {
   return out;
 }
 
+namespace {
+
+/// The line of `text` that starts at `pos`, trimmed; moves `pos` past it.
+std::string_view next_line(std::string_view text, std::size_t& pos) {
+  std::size_t eol = text.find('\n', pos);
+  if (eol == std::string_view::npos) eol = text.size();
+  const std::string_view line = support::trim(text.substr(pos, eol - pos));
+  pos = eol + 1;
+  return line;
+}
+
+}  // namespace
+
 Result<Schematic> Schematic::parse(const std::string& payload) {
+  JFM_SPAN("tools", "schematic.parse");
+  const std::string_view text = payload;
+  // Count the records by their first letters, so that each list is
+  // allocated once, at its exact size when the payload is well formed.
+  std::size_t ports = 0, nets = 0, prims = 0, insts = 0, conns = 0;
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::string_view line = next_line(text, pos);
+    if (line.size() < 2) continue;
+    switch (line[0]) {
+      case 'c': ++conns; break;
+      case 'n': ++nets; break;
+      case 'i': ++insts; break;
+      case 'p': ++(line[1] == 'o' ? ports : prims); break;
+      default: break;
+    }
+  }
   Schematic out;
+  out.ports.reserve(ports);
+  out.nets.reserve(nets);
+  out.primitives.reserve(prims);
+  out.instances.reserve(insts);
+  out.connections.reserve(conns);
+
   std::vector<std::string_view> f;  // one line's fields, reused
-  for (const auto& raw : support::split(payload, '\n')) {
-    std::string_view line = support::trim(raw);
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::string_view line = next_line(text, pos);
     if (line.empty() || line[0] == '#') continue;
     support::split_ws(line, f);
-    auto field = [&f](std::size_t i) { return std::string(f[i]); };
-    if (f[0] == "port" && f.size() == 3) {
+    const std::size_t n = f.size();
+    // Fields are assigned in place: no temporary string per field.
+    if (f[0] == "conn" && n == 4) {
+      Connection& conn = out.connections.emplace_back();
+      conn.net = f[1];
+      conn.element = f[2];
+      conn.pin = f[3];
+    } else if (f[0] == "prim" && n == 3) {
+      Primitive& prim = out.primitives.emplace_back();
+      prim.name = f[1];
+      prim.gate = f[2];
+    } else if (f[0] == "net" && n == 2) {
+      out.nets.emplace_back(f[1]);
+    } else if (f[0] == "inst" && n == 4) {
+      SchInstance& inst = out.instances.emplace_back();
+      inst.name = f[1];
+      inst.master_cell = f[2];
+      inst.master_view = f[3];
+    } else if (f[0] == "port" && n == 3) {
       auto dir = port_dir_from(f[2]);
       if (!dir.ok()) return Result<Schematic>::failure(dir.error().code, dir.error().message);
-      out.ports.push_back({field(1), *dir});
-    } else if (f[0] == "net" && f.size() == 2) {
-      out.nets.push_back(field(1));
-    } else if (f[0] == "prim" && f.size() == 3) {
-      out.primitives.push_back({field(1), field(2)});
-    } else if (f[0] == "inst" && f.size() == 4) {
-      out.instances.push_back({field(1), field(2), field(3)});
-    } else if (f[0] == "conn" && f.size() == 4) {
-      out.connections.push_back({field(1), field(2), field(3)});
+      out.ports.push_back({std::string(f[1]), *dir});
     } else {
       return Result<Schematic>::failure(Errc::parse_error,
                                         "schematic: bad record '" + std::string(line) + "'");
@@ -125,78 +169,164 @@ std::optional<std::string> Schematic::net_of(std::string_view element,
 }
 
 Status Schematic::validate() const {
-  // Every lookup below is a hash probe of views into this schematic.
-  const std::unordered_set<std::string_view> net_set(nets.begin(), nets.end());
-  std::unordered_set<std::string_view> port_names;
-  for (const auto& p : ports) {
-    if (!support::is_identifier(p.name)) {
-      return support::fail(Errc::invalid_argument, "bad port name '" + p.name + "'");
-    }
-    if (!port_names.insert(p.name).second) {
-      return support::fail(Errc::already_exists, "duplicate port " + p.name);
-    }
-    // a port implies a net of the same name; it must exist
-    if (!net_set.contains(p.name)) {
-      return support::fail(Errc::consistency_violation,
-                           "port " + p.name + " has no matching net");
+  detail::SchematicIndex index;
+  return index.build(*this);
+}
+
+namespace detail {
+
+int SchematicIndex::find_net(std::string_view name) const {
+  return nets_.find(support::name_hash(name), [&](int id) {
+    return sch_->nets[static_cast<std::size_t>(id)] == name;
+  });
+}
+
+int SchematicIndex::find_port(std::string_view name) const {
+  return ports_.find(support::name_hash(name), [&](int id) {
+    return sch_->ports[static_cast<std::size_t>(id)].name == name;
+  });
+}
+
+Status SchematicIndex::build(const Schematic& sch) {
+  sch_ = &sch;
+  const auto& nets = sch.nets;
+  nets_.reset(nets.size());
+  std::size_t first_duplicate_net = nets.size();
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    const int id = nets_.insert(support::name_hash(nets[i]), static_cast<int>(i), [&](int other) {
+      return nets[static_cast<std::size_t>(other)] == nets[i];
+    });
+    if (id != static_cast<int>(i) && first_duplicate_net == nets.size()) first_duplicate_net = i;
+  }
+
+  // Every port goes into the table, also past a failed check: the
+  // elaborator reports an instance pin that the master does not declare
+  // before the master's own faults.
+  ports_.reset(sch.ports.size());
+  Status port_fault;
+  for (std::size_t i = 0; i < sch.ports.size(); ++i) {
+    const std::string& name = sch.ports[i].name;
+    const int id = ports_.insert(support::name_hash(name), static_cast<int>(i), [&](int other) {
+      return sch.ports[static_cast<std::size_t>(other)].name == name;
+    });
+    if (!port_fault.ok()) continue;
+    if (!support::is_identifier(name)) {
+      port_fault = support::fail(Errc::invalid_argument, "bad port name '" + name + "'");
+    } else if (id != static_cast<int>(i)) {
+      port_fault = support::fail(Errc::already_exists, "duplicate port " + name);
+    } else if (find_net(name) < 0) {
+      // a port implies a net of the same name; it must exist
+      port_fault = support::fail(Errc::consistency_violation,
+                                 "port " + name + " has no matching net");
     }
   }
-  std::unordered_set<std::string_view> seen_nets;
-  for (const auto& n : nets) {
-    if (!support::is_identifier(n)) {
-      return support::fail(Errc::invalid_argument, "bad net name '" + n + "'");
+  if (!port_fault.ok()) return port_fault;
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    if (!support::is_identifier(nets[i])) {
+      return support::fail(Errc::invalid_argument, "bad net name '" + nets[i] + "'");
     }
-    if (!seen_nets.insert(n).second) {
-      return support::fail(Errc::already_exists, "duplicate net " + n);
+    if (i == first_duplicate_net) {
+      return support::fail(Errc::already_exists, "duplicate net " + nets[i]);
     }
   }
-  // element name -> its primitive (nullptr for an instance)
-  std::unordered_map<std::string_view, const Primitive*> elements;
-  for (const auto& g : primitives) {
+
+  const std::size_t prims = sch.primitives.size();
+  const std::size_t elements = prims + sch.instances.size();
+  auto element_name = [&](int e) -> const std::string& {
+    const auto k = static_cast<std::size_t>(e);
+    return k < prims ? sch.primitives[k].name : sch.instances[k - prims].name;
+  };
+  support::IdTable element_ids;  // element name -> element id
+  auto add_element = [&](const std::string& name, std::size_t e) {
+    return element_ids.insert(support::name_hash(name), static_cast<int>(e), [&](int other) {
+      return element_name(other) == name;
+    }) == static_cast<int>(e);
+  };
+  // A primitive's pins, looked up once per primitive, and the pin slots
+  // connected so far (bit i for slot i).
+  struct Gate {
+    std::span<const std::string_view> inputs;
+    std::string_view output;
+    unsigned connected = 0;
+  };
+  std::vector<Gate> gates(prims);
+  element_ids.reset(elements);
+  for (std::size_t k = 0; k < prims; ++k) {
+    const Primitive& g = sch.primitives[k];
     if (!is_known_gate(g.gate)) {
       return support::fail(Errc::invalid_argument, "unknown gate type " + g.gate);
     }
-    if (!elements.emplace(g.name, &g).second) {
+    if (!add_element(g.name, k)) {
       return support::fail(Errc::already_exists, "duplicate element " + g.name);
     }
+    gates[k] = {gate_input_pins(g.gate), gate_output_pin(g.gate)};
   }
-  for (const auto& i : instances) {
-    if (!elements.emplace(i.name, nullptr).second) {
-      return support::fail(Errc::already_exists, "duplicate element " + i.name);
+  for (std::size_t k = prims; k < elements; ++k) {
+    const std::string& name = element_name(static_cast<int>(k));
+    if (!add_element(name, k)) {
+      return support::fail(Errc::already_exists, "duplicate element " + name);
     }
   }
-  struct PinHash {
-    std::size_t operator()(const std::pair<std::string_view, std::string_view>& pin) const {
-      const std::hash<std::string_view> hash;
-      return hash(pin.first) * 31 + hash(pin.second);
-    }
-  };
-  std::unordered_set<std::pair<std::string_view, std::string_view>, PinHash> pins_used;
-  for (const auto& c : connections) {
-    if (!net_set.contains(c.net)) {
+
+  const auto& conns = sch.connections;
+  pins_.resize(conns.size());
+  support::IdTable instance_pins;  // (instance, pin) -> its first connection
+  for (std::size_t c = 0; c < conns.size(); ++c) {
+    const Connection& conn = conns[c];
+    const int net = find_net(conn.net);
+    if (net < 0) {
       return support::fail(Errc::consistency_violation,
-                           "connection references unknown net " + c.net);
+                           "connection references unknown net " + conn.net);
     }
-    auto element = elements.find(c.element);
-    if (element == elements.end()) {
+    const std::uint32_t element_hash = support::name_hash(conn.element);
+    const int element =
+        element_ids.find(element_hash, [&](int other) { return element_name(other) == conn.element; });
+    if (element < 0) {
       return support::fail(Errc::consistency_violation,
-                           "connection references unknown element " + c.element);
+                           "connection references unknown element " + conn.element);
     }
-    if (const Primitive* g = element->second; g != nullptr) {
-      auto inputs = gate_input_pins(g->gate);
-      bool known_pin = c.pin == gate_output_pin(g->gate) ||
-                       std::find(inputs.begin(), inputs.end(), c.pin) != inputs.end();
-      if (!known_pin) {
-        return support::fail(Errc::invalid_argument,
-                             "gate " + g->name + " (" + g->gate + ") has no pin " + c.pin);
+    int slot = -1;
+    bool reused = false;
+    if (static_cast<std::size_t>(element) < prims) {
+      Gate& gate = gates[static_cast<std::size_t>(element)];
+      if (conn.pin == gate.output) slot = static_cast<int>(gate.inputs.size());
+      for (std::size_t i = 0; i < gate.inputs.size(); ++i) {
+        if (conn.pin == gate.inputs[i]) slot = static_cast<int>(i);
       }
+      if (slot < 0) {
+        const Primitive& g = sch.primitives[static_cast<std::size_t>(element)];
+        return support::fail(Errc::invalid_argument,
+                             "gate " + g.name + " (" + g.gate + ") has no pin " + conn.pin);
+      }
+      reused = (gate.connected >> slot) & 1u;
+      gate.connected |= 1u << slot;
+    } else {
+      const std::uint32_t pin_hash = element_hash * 31 + support::name_hash(conn.pin);
+      reused = instance_pins.insert(pin_hash, static_cast<int>(c), [&](int other) {
+        const Connection& seen = conns[static_cast<std::size_t>(other)];
+        return seen.element == conn.element && seen.pin == conn.pin;
+      }) != static_cast<int>(c);
     }
-    if (!pins_used.emplace(c.element, c.pin).second) {
+    if (reused) {
       return support::fail(Errc::consistency_violation,
-                           "pin " + c.element + "." + c.pin + " connected twice");
+                           "pin " + conn.element + "." + conn.pin + " connected twice");
     }
+    pins_[c] = {net, element, slot};
+  }
+
+  // Counting sort of the connections by element; filling each list from
+  // its end keeps connection order within it.
+  pin_start_.assign(elements + 1, 0);
+  for (const Pin& p : pins_) ++pin_start_[static_cast<std::size_t>(p.element)];
+  for (std::size_t e = 1; e <= elements; ++e) pin_start_[e] += pin_start_[e - 1];
+  pin_conns_.resize(conns.size());
+  for (std::size_t c = conns.size(); c-- > 0;) {
+    const auto element = static_cast<std::size_t>(pins_[c].element);
+    pin_conns_[static_cast<std::size_t>(--pin_start_[element])] = static_cast<int>(c);
   }
   return {};
 }
+
+}  // namespace detail
 
 }  // namespace jfm::tools

@@ -11,15 +11,18 @@ using support::Result;
 using support::Status;
 
 int Circuit::find_signal(std::string_view name) const {
-  auto it = signal_index.find(name);
-  return it == signal_index.end() ? -1 : it->second;
+  return signal_ids_.find(support::name_hash(name), [&](int other) {
+    return signal_names[static_cast<std::size_t>(other)] == name;
+  });
 }
 
 int Circuit::add_signal(std::string_view name) {
-  auto [it, inserted] =
-      signal_index.try_emplace(std::string(name), static_cast<int>(signal_names.size()));
-  if (inserted) signal_names.push_back(it->first);
-  return it->second;
+  const int next = static_cast<int>(signal_names.size());
+  const int id = signal_ids_.insert(support::name_hash(name), next, [&](int other) {
+    return signal_names[static_cast<std::size_t>(other)] == name;
+  });
+  if (id == next) signal_names.emplace_back(name);
+  return id;
 }
 
 std::vector<int> Circuit::undriven_signals() const {

@@ -1,7 +1,6 @@
 #include "jfm/tools/timing.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "jfm/support/telemetry.hpp"
 
@@ -28,45 +27,49 @@ Result<TimingReport> analyze_timing(const Circuit& circuit) {
   std::vector<int> pred(n, -1);
 
   // Combinational edges only: a DFF launches a fresh path at its output.
+  // CSR by source signal: the edges out of s are edges[first[s] ..
+  // first[s + 1]), in gate and input order.
   struct Edge {
-    int from;
     int to;
     SimTime delay;
   };
-  std::vector<Edge> edges;
   std::vector<int> indegree(n, 0);
-  std::vector<std::vector<std::size_t>> out_edges(n);
+  std::vector<std::size_t> first(n + 1, 0);
   for (const auto& gate : circuit.gates) {
     if (gate.type == "DFF") continue;
-    for (int in : gate.inputs) {
-      out_edges[static_cast<std::size_t>(in)].push_back(edges.size());
-      edges.push_back({in, gate.output, gate.delay});
-      ++indegree[static_cast<std::size_t>(gate.output)];
+    for (int in : gate.inputs) ++first[static_cast<std::size_t>(in)];
+    indegree[static_cast<std::size_t>(gate.output)] += static_cast<int>(gate.inputs.size());
+  }
+  for (std::size_t s = 1; s <= n; ++s) first[s] += first[s - 1];
+  std::vector<Edge> edges(first[n]);
+  for (auto gate = circuit.gates.rbegin(); gate != circuit.gates.rend(); ++gate) {
+    if (gate->type == "DFF") continue;
+    for (auto in = gate->inputs.rbegin(); in != gate->inputs.rend(); ++in) {
+      edges[--first[static_cast<std::size_t>(*in)]] = {gate->output, gate->delay};
     }
   }
 
-  // Kahn topological sweep computing longest arrival times.
-  std::queue<int> ready;
+  // Kahn topological sweep computing longest arrival times; `order` is
+  // the FIFO, each signal entering it once.
+  std::vector<int> order;
+  order.reserve(n);
   for (std::size_t s = 0; s < n; ++s) {
-    if (indegree[s] == 0) ready.push(static_cast<int>(s));
+    if (indegree[s] == 0) order.push_back(static_cast<int>(s));
   }
-  std::size_t visited = 0;
-  while (!ready.empty()) {
-    int signal = ready.front();
-    ready.pop();
-    ++visited;
-    for (std::size_t e : out_edges[static_cast<std::size_t>(signal)]) {
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const auto from = static_cast<std::size_t>(order[head]);
+    for (std::size_t e = first[from]; e < first[from + 1]; ++e) {
       const Edge& edge = edges[e];
-      SimTime candidate = report.arrival[static_cast<std::size_t>(edge.from)] + edge.delay;
+      SimTime candidate = report.arrival[from] + edge.delay;
       auto& to_arrival = report.arrival[static_cast<std::size_t>(edge.to)];
       if (candidate > to_arrival) {
         to_arrival = candidate;
-        pred[static_cast<std::size_t>(edge.to)] = edge.from;
+        pred[static_cast<std::size_t>(edge.to)] = static_cast<int>(from);
       }
-      if (--indegree[static_cast<std::size_t>(edge.to)] == 0) ready.push(edge.to);
+      if (--indegree[static_cast<std::size_t>(edge.to)] == 0) order.push_back(edge.to);
     }
   }
-  if (visited != n) {
+  if (order.size() != n) {
     return Result<TimingReport>::failure(Errc::consistency_violation,
                                          "combinational cycle detected");
   }

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "jfm/coupling/hybrid.hpp"
 #include "jfm/coupling/resolvers.hpp"
+#include "jfm/workload/generators.hpp"
 
 namespace jfm::coupling {
 namespace {
@@ -451,6 +454,59 @@ TEST_F(HybridTest, ConfigResolverPinsVersionsWhileLatestMovesOn) {
   EXPECT_FALSE(pinned({"ghost", "schematic"}).ok());
   auto chained = coupling::make_jcf_config_resolver(&jcf, config, alice, latest);
   EXPECT_TRUE(chained({"c", "schematic"}).ok());
+
+  // a member pinned after the resolver was made (and used) is still seen
+  ASSERT_TRUE(hybrid->create_cell("p", "d", alice).ok());
+  ASSERT_TRUE(hybrid->reserve_cell("p", "d", alice).ok());
+  ASSERT_TRUE(hybrid->run_activity("p", "d", "enter_schematic", alice, tiny_schematic()).ok());
+  EXPECT_EQ(pinned({"d", "schematic"}).code(), Errc::not_found);
+  auto d_cv = *jcf.latest_cell_version(*jcf.find_cell(project, "d"));
+  auto d_dobj = *jcf.find_design_object(*jcf.find_variant(d_cv, "work"), "schematic");
+  ASSERT_TRUE(jcf.add_config_member(config, *jcf.latest_dov(d_dobj)).ok());
+  auto sch_d = pinned({"d", "schematic"});
+  ASSERT_TRUE(sch_d.ok()) << sch_d.error().to_text();
+  EXPECT_EQ(sch_d->primitives.size(), 1u);
+}
+
+TEST_F(HybridTest, ConfigPinnedAtLatestElaboratesLikeTheLatestResolver) {
+  init();
+  workload::HierarchySpec spec;
+  spec.depth = 2;
+  spec.fanout = 2;
+  spec.leaf_gates = 3;
+  auto top = workload::build_hierarchical_design(*hybrid, "p", spec, alice);
+  ASSERT_TRUE(top.ok()) << top.error().to_text();
+
+  // pin every cell's latest schematic version, top cell first
+  auto& jcf = hybrid->jcf();
+  auto project = *jcf.find_project("p");
+  auto cells = workload::hierarchy_cell_names(spec);
+  std::reverse(cells.begin(), cells.end());
+  auto top_cv = *jcf.latest_cell_version(*jcf.find_cell(project, *top));
+  auto config = *jcf.create_config(top_cv, "latest");
+  for (const auto& name : cells) {
+    auto cv = *jcf.latest_cell_version(*jcf.find_cell(project, name));
+    auto dobj = *jcf.find_design_object(jcf.variants(cv)->front(), "schematic");
+    ASSERT_TRUE(jcf.add_config_member(config, *jcf.latest_dov(dobj)).ok()) << name;
+  }
+
+  auto elaborate_with = [&](const tools::SchematicResolver& resolver) {
+    auto sch = resolver({*top, "schematic"});
+    EXPECT_TRUE(sch.ok());
+    return tools::elaborate(*sch, *top, resolver);
+  };
+  auto pinned = elaborate_with(coupling::make_jcf_config_resolver(&jcf, config, alice));
+  auto latest = elaborate_with(coupling::make_jcf_resolver(&jcf, project, alice));
+  ASSERT_TRUE(pinned.ok()) << pinned.error().to_text();
+  ASSERT_TRUE(latest.ok()) << latest.error().to_text();
+  EXPECT_EQ(pinned->signal_names, latest->signal_names);
+  ASSERT_EQ(pinned->gates.size(), latest->gates.size());
+  EXPECT_EQ(pinned->gates.size(), 4 * spec.leaf_gates + 3);  // leaves plus one AND per glue cell
+  for (std::size_t g = 0; g < pinned->gates.size(); ++g) {
+    EXPECT_EQ(pinned->gates[g].type, latest->gates[g].type);
+    EXPECT_EQ(pinned->gates[g].inputs, latest->gates[g].inputs);
+    EXPECT_EQ(pinned->gates[g].output, latest->gates[g].output);
+  }
 }
 
 TEST_F(HybridTest, DirectTransferAblationMovesFewerBytes) {

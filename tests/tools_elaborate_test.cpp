@@ -160,10 +160,21 @@ TEST(Elaborate, MultiDriverAcrossHierarchyDetected) {
   EXPECT_EQ(circuit.error().code, Errc::consistency_violation);
 }
 
-// Golden output of a generated hierarchy: signal ids, every gate and the
+// Golden text of an elaborated circuit: signal ids, every gate and the
 // timing report. Signal ids decide which of several equal-delay critical
-// paths analyze_timing reports, so the digest pins the elaborator's
-// numbering as well as its structure.
+// paths analyze_timing reports, so a digest of this text pins the
+// elaborator's numbering as well as its structure.
+std::string golden_text(const Circuit& circuit, const TimingReport& timing) {
+  std::string text;
+  for (const auto& name : circuit.signal_names) text += name + "\n";
+  for (const auto& gate : circuit.gates) {
+    text += gate.type;
+    for (int in : gate.inputs) text += " " + std::to_string(in);
+    text += " -> " + std::to_string(gate.output) + " @" + std::to_string(gate.delay) + "\n";
+  }
+  return text + timing.describe(circuit);
+}
+
 TEST(Elaborate, GeneratedHierarchyMatchesGoldenDigest) {
   support::SimClock clock;
   vfs::FileSystem fs(&clock);
@@ -188,21 +199,92 @@ TEST(Elaborate, GeneratedHierarchyMatchesGoldenDigest) {
   auto timing = analyze_timing(*circuit);
   ASSERT_TRUE(timing.ok()) << timing.error().to_text();
 
-  std::string text;
-  for (const auto& name : circuit->signal_names) text += name + "\n";
-  for (const auto& gate : circuit->gates) {
-    text += gate.type;
-    for (int in : gate.inputs) text += " " + std::to_string(in);
-    text += " -> " + std::to_string(gate.output) + " @" + std::to_string(gate.delay) + "\n";
-  }
-  text += timing->describe(*circuit);
-
   EXPECT_EQ(circuit->signal_count(), 244u);
   EXPECT_EQ(circuit->gates.size(), 242u);
   EXPECT_EQ(timing->describe(*circuit),
             "a -> u0/u1/u0/n0 -> u0/u1/u0/n2 -> u0/u1/u0/n3 -> u0/u1/u0/n4 -> u0/u1/u0/n6 -> "
             "u0/u1/n0 -> u0/u1/m1 -> u0/n1 -> u0/m1 -> n0 -> m1 -> y (delay 12)");
-  EXPECT_EQ(support::fnv1a(text), 12093834008415740602ull);
+  EXPECT_EQ(support::fnv1a(golden_text(*circuit, *timing)), 12093834008415740602ull);
+}
+
+// Golden output of a hand-written hierarchy with the cases the generator
+// never produces: unconnected primitive pins (an X signal named
+// <prim>.<pin>), a net named like such a signal (g1.a next to primitive
+// g1, whose pin a is unconnected, so the two are one signal), an
+// unconnected instance pin, two instances of one master, a DFF feedback
+// loop and an equal-delay tie for the critical path (m1 and m2 both
+// arrive at 3 and meet in u0/h0).
+TEST(Elaborate, EdgeCaseHierarchyMatchesGoldenDigest) {
+  Schematic half;
+  half.ports = {{"a", PortDir::in}, {"b", PortDir::in}, {"y", PortDir::out}};
+  half.nets = {"a", "b", "y", "t"};
+  half.primitives = {{"h0", "NAND"}, {"h1", "XOR"}};
+  half.connections = {{"a", "h0", "a"}, {"b", "h0", "b"}, {"t", "h0", "y"},
+                      {"t", "h1", "a"}, {"y", "h1", "y"}};  // h1.b unconnected
+
+  Schematic top;
+  top.ports = {{"in0", PortDir::in}, {"in1", PortDir::in}, {"clk", PortDir::in},
+               {"out", PortDir::out}, {"q", PortDir::out}};
+  top.nets = {"in0", "in1", "clk", "out", "q", "d", "g1.a", "m0", "m1", "m2", "e0", "e1", "fb"};
+  top.primitives = {{"g2", "NOT"}, {"g1", "AND"}, {"g3", "OR"},  {"g5", "BUF"},
+                    {"g6", "BUF"}, {"g7", "BUF"}, {"ff", "DFF"}, {"g4", "NOT"}};
+  top.instances = {{"u0", "half", "schematic"}, {"u1", "half", "schematic"}};
+  top.connections = {
+      {"in1", "g2", "a"}, {"g1.a", "g2", "y"},                      // drives net g1.a
+      {"in0", "g1", "b"}, {"m0", "g1", "y"},                        // g1.a unconnected
+      {"m0", "g3", "a"},  {"m1", "g3", "y"},                        // g3.b unconnected
+      {"in0", "g5", "a"}, {"e0", "g5", "y"},  {"e0", "g6", "a"}, {"e1", "g6", "y"},
+      {"e1", "g7", "a"},  {"m2", "g7", "y"},                        // the tie's second arm
+      {"d", "ff", "d"},   {"clk", "ff", "clk"}, {"q", "ff", "q"},
+      {"q", "g4", "a"},   {"d", "g4", "y"},                         // DFF feedback loop
+      {"m1", "u0", "a"},  {"m2", "u0", "b"},  {"out", "u0", "y"},
+      {"in0", "u1", "a"}, {"fb", "u1", "y"},                        // u1.b unconnected
+  };
+
+  auto circuit = elaborate(top, "edge", map_resolver({{"half", half}}));
+  ASSERT_TRUE(circuit.ok()) << circuit.error().to_text();
+  auto timing = analyze_timing(*circuit);
+  ASSERT_TRUE(timing.ok()) << timing.error().to_text();
+  EXPECT_EQ(circuit->find_signal("g1.a"), 6);
+  EXPECT_GE(circuit->find_signal("g3.b"), 0);
+  EXPECT_GE(circuit->find_signal("u0/h1.b"), 0);
+  EXPECT_GE(circuit->find_signal("u1/b"), 0);
+  EXPECT_EQ(circuit->find_signal("u0/b"), -1);  // aliases m2
+  EXPECT_EQ(circuit->signal_count(), 19u);
+  EXPECT_EQ(circuit->gates.size(), 12u);
+  EXPECT_EQ(timing->describe(*circuit), "in0 -> e0 -> e1 -> m2 -> u0/t -> out (delay 5)");
+  EXPECT_EQ(support::fnv1a(golden_text(*circuit, *timing)), 10406336181196885667ull);
+}
+
+// The two errors a flat circuit can still raise, with their messages.
+TEST(Elaborate, CycleAndMultiDriverErrorsKeepTheirMessages) {
+  // A pass-through master whose ports meet on one parent net: the child's
+  // inverter then feeds itself.
+  Schematic top;
+  top.nets = {"n"};
+  top.instances = {{"u0", "inv", "schematic"}};
+  top.connections = {{"n", "u0", "a"}, {"n", "u0", "y"}};
+  auto looped = elaborate(top, "top", map_resolver({{"inv", inverter_cell()}}));
+  ASSERT_TRUE(looped.ok()) << looped.error().to_text();
+  auto timing = analyze_timing(*looped);
+  ASSERT_FALSE(timing.ok());
+  EXPECT_EQ(timing.error().code, Errc::consistency_violation);
+  EXPECT_EQ(timing.error().message, "combinational cycle detected");
+
+  // Two buffers inside a child drive its net t.
+  Schematic dup;
+  dup.ports = {{"a", PortDir::in}};
+  dup.nets = {"a", "t"};
+  dup.primitives = {{"x0", "BUF"}, {"x1", "BUF"}};
+  dup.connections = {{"a", "x0", "a"}, {"t", "x0", "y"}, {"a", "x1", "a"}, {"t", "x1", "y"}};
+  Schematic holder;
+  holder.nets = {"in"};
+  holder.instances = {{"u7", "dup", "schematic"}};
+  holder.connections = {{"in", "u7", "a"}};
+  auto driven = elaborate(holder, "holder", map_resolver({{"dup", dup}}));
+  ASSERT_FALSE(driven.ok());
+  EXPECT_EQ(driven.error().code, Errc::consistency_violation);
+  EXPECT_EQ(driven.error().message, "signal u7/t has multiple drivers");
 }
 
 }  // namespace
